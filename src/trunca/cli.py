@@ -20,14 +20,7 @@ from .analytics import (
     tail_dep_exchangeable_equal_t,
     tail_dep_tilted,
 )
-from .copulas import (
-    ArchimedeanCopula,
-    ModelTruncation,
-    ProductTruncation,
-    TiltedArchimedeanTruncation,
-    TruncationPoint,
-    truncate_general,
-)
+from .copulas import ArchimedeanCopula, TruncationPoint, truncate_general
 from .frailty import rng_stream
 from .modelspec import SCHEMA, load_model, model_to_dict
 from .sampling import (
@@ -40,8 +33,6 @@ from .sampling import (
     write_csv,
     write_meta,
 )
-
-_FAST_FORMS = (TiltedArchimedeanTruncation, ModelTruncation, ProductTruncation)
 
 # data behind the sample-cloud figures: (model spec, list of truncation points)
 FIGURES = {
@@ -178,7 +169,7 @@ def _sample(model, tp, args, rng):
     tc = truncate_general(model, tp)
     if args.method == "oracle":
         return transform_margins(oracle_sample(model, tp, args.n, rng), model, tp)
-    if args.method == "tilted" and not isinstance(tc, _FAST_FORMS):
+    if args.method == "tilted" and tc.route == "oracle":
         raise ConfigError(
             f"model of kind {model.kind!r} has no tilted/closed sampling path; "
             "use --method auto or oracle"
@@ -197,8 +188,6 @@ def _emit_json(payload, out):
 def cmd_sample(args):
     model = _load(args)
     tp = _truncation(args, model)
-    if args.n < 1:
-        raise ConfigError("--n must be at least 1")
     if not args.out:
         raise ConfigError("sample requires --out")
     rng = rng_stream(args.seed)
@@ -301,7 +290,7 @@ def cmd_oracle_compare(args):
     model = _load(args)
     tp = _truncation(args, model)
     tc = truncate_general(model, tp)
-    if not isinstance(tc, _FAST_FORMS):
+    if tc.route == "oracle":
         raise ConfigError(
             f"model of kind {model.kind!r} has no closed-form sampling path to compare"
         )
@@ -369,6 +358,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.n < 1:
+            raise ConfigError("--n must be at least 1")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,13 +6,15 @@ coordinate section,
 
     C_t(u) = C({sec_j_inv(C(t) u_j)}_j) / C(t),
 
-and is exact whenever the sections invert analytically.  Recognized models
-dispatch to closed forms: Archimedean models stay Archimedean with a tilted
-generator (tilt psi_inv(C(t))), nested Archimedean models keep a nested
+and is exact whenever the sections invert analytically.  Each model class
+chooses its own truncated form in ``_truncate``: Archimedean models stay
+Archimedean with a tilted generator (tilt psi_inv(C(t))), so their truncation
+is again an ``ArchimedeanCopula``; nested Archimedean models keep a nested
 closed form, bivariate Marshall-Olkin models keep a piecewise closed form
 with an explicit singular curve, and independence/comonotonicity are fixed
 points.  Everything else (survival wrappers in particular) evaluates through
-monotone bisection of the sections.
+monotone bisection of the sections.  Each truncated form in turn names its
+sampling ``route`` (see ``sampling.sample_truncated``).
 """
 
 from __future__ import annotations
@@ -93,6 +95,10 @@ class CopulaModel:
     def _section_inv_analytic(self, j, y, t):
         return None
 
+    def _truncate(self, tp):
+        """The truncated copula at a validated TruncationPoint."""
+        return GeneralTruncation(self, tp)
+
     def margin_section_inv(self, j, y, t, method="auto"):
         """Generalized inverse inf{x : C(x; t_-j) >= y} on [0, t_j].
 
@@ -132,6 +138,17 @@ def _bisect_section_inv(model, j, y, t):
     return lo
 
 
+def _psi_sum(g, block):
+    """psi(sum_j psi_inv(x_j)) over the last axis of ``block``."""
+    return g.psi(np.asarray(g.psi_inv(block)).sum(axis=-1))
+
+
+def _shift(g, y, shift):
+    """psi(max(psi_inv(y) - shift, 0)): move y down the generator scale by shift."""
+    with np.errstate(invalid="ignore"):
+        return np.asarray(g.psi(np.maximum(np.asarray(g.psi_inv(y)) - shift, 0.0)))
+
+
 class IndependenceCopula(CopulaModel):
     """C(u) = prod_j u_j."""
 
@@ -149,6 +166,9 @@ class IndependenceCopula(CopulaModel):
     def _section_inv_analytic(self, j, y, t):
         rest = float(np.prod(np.delete(t, j)))
         return y / rest
+
+    def _truncate(self, tp):
+        return ModelTruncation(self, tp, self)
 
 
 class ComonotoneCopula(CopulaModel):
@@ -168,6 +188,9 @@ class ComonotoneCopula(CopulaModel):
     def _section_inv_analytic(self, j, y, t):
         return y.copy()
 
+    def _truncate(self, tp):
+        return ModelTruncation(self, tp, self)
+
 
 class ArchimedeanCopula(CopulaModel):
     """C(u) = psi(sum_j psi_inv(u_j)) for any generator-like object."""
@@ -184,16 +207,15 @@ class ArchimedeanCopula(CopulaModel):
         self.d = d
 
     def _cdf(self, pts):
-        g = self.generator
-        s = np.asarray(g.psi_inv(pts)).sum(axis=1)
-        return np.asarray(g.psi(s))
+        return _psi_sum(self.generator, pts)
 
     def _section_inv_analytic(self, j, y, t):
         g = self.generator
-        rest = float(np.asarray(g.psi_inv(np.delete(t, j))).sum())
-        with np.errstate(invalid="ignore"):
-            arg = np.asarray(g.psi_inv(y)) - rest
-        return np.asarray(g.psi(np.maximum(arg, 0.0)))
+        return _shift(g, y, float(np.asarray(g.psi_inv(np.delete(t, j))).sum()))
+
+    def _truncate(self, tp):
+        h = float(self.generator.psi_inv(tp.c_of_t))
+        return TiltedArchimedeanTruncation(self, tp, self.generator.tilt(h))
 
     def __repr__(self):
         return f"ArchimedeanCopula({self.generator!r}, d={self.d})"
@@ -273,11 +295,9 @@ class NestedArchimedeanCopula(CopulaModel):
         raise IndexError(index)
 
     def _sector_cdf(self, s, block):
-        g = self.sectors[s][0]
         if block.shape[1] == 1:
             return block[:, 0]
-        t = np.asarray(g.psi_inv(block)).sum(axis=1)
-        return np.asarray(g.psi(t))
+        return _psi_sum(self.sectors[s][0], block)
 
     def _cdf(self, pts):
         root = self.root
@@ -300,10 +320,20 @@ class NestedArchimedeanCopula(CopulaModel):
         inner_rest = float(
             np.asarray(g.psi_inv(np.delete(t[sl], j - sl.start))).sum()
         )
-        with np.errstate(invalid="ignore"):
-            w = np.asarray(root.psi(np.maximum(np.asarray(root.psi_inv(y)) - outer_rest, 0.0)))
-            out = np.asarray(g.psi(np.maximum(np.asarray(g.psi_inv(w)) - inner_rest, 0.0)))
-        return out
+        return _shift(g, _shift(root, y, outer_rest), inner_rest)
+
+    def _truncate(self, tp):
+        # an independence root makes the truncation the product of the
+        # truncated sectors
+        if not isinstance(self.root, IndependenceGenerator):
+            return NestedTruncation(self, tp)
+        blocks = []
+        for (g, ds), sl in zip(self.sectors, self.slices):
+            if ds == 1:
+                blocks.append((None, sl))
+            else:
+                blocks.append((truncate_general(ArchimedeanCopula(g, ds), tp.t[sl]), sl))
+        return ProductTruncation(self, tp, blocks)
 
     def __repr__(self):
         inner = ", ".join(f"({g!r}, {ds})" for g, ds in self.sectors)
@@ -342,6 +372,9 @@ class MarshallOlkinCopula(CopulaModel):
             low = y / tm ** (1.0 - am)
             high = np.power(y / tm, 1.0 / (1.0 - aj))
         return np.where(y <= cut, low, high)
+
+    def _truncate(self, tp):
+        return MOTruncation(self, tp)
 
     def __repr__(self):
         return f"MarshallOlkinCopula({self.alpha1!r}, {self.alpha2!r})"
@@ -401,9 +434,15 @@ class TruncationPoint:
 
 
 class TruncatedCopula:
-    """The copula of U | U <= t on the unit cube (copula scale)."""
+    """The copula of U | U <= t on the unit cube (copula scale).
+
+    ``route`` names how ``sampling.sample_truncated`` draws from the form:
+    "oracle" (rejection plus the margin transform) unless a subclass has an
+    exact sampler.
+    """
 
     form = ""
+    route = "oracle"
 
     def __init__(self, source, point):
         self.source = source
@@ -427,35 +466,32 @@ class TruncatedCopula:
 
 
 class ModelTruncation(TruncatedCopula):
-    """Truncations that collapse onto a plain model (independence, comonotone)."""
+    """Truncations that are a plain model again (independence, comonotone)."""
 
     form = "model"
+    route = "closed-model"
 
     def __init__(self, source, point, model):
         super().__init__(source, point)
         self.model = model
 
     def _cdf(self, pts):
-        return np.atleast_1d(self.model.cdf(pts))
+        return self.model._cdf(pts)
 
 
-class TiltedArchimedeanTruncation(TruncatedCopula):
+class TiltedArchimedeanTruncation(ModelTruncation):
     """Archimedean truncation: Archimedean again, with tilt psi_inv(C(t))."""
 
     form = "tilted-archimedean"
+    route = "tilted-frailty"
 
     def __init__(self, source, point, tilted):
-        super().__init__(source, point)
+        super().__init__(source, point, ArchimedeanCopula(tilted, source.d))
         self.tilted = tilted
-
-    def _cdf(self, pts):
-        g = self.tilted
-        s = np.asarray(g.psi_inv(pts)).sum(axis=1)
-        return np.asarray(g.psi(s))
 
     def as_model(self):
         """The truncation as a standalone Archimedean model."""
-        return ArchimedeanCopula(self.tilted, self.dim)
+        return self.model
 
 
 class ProductTruncation(TruncatedCopula):
@@ -466,6 +502,7 @@ class ProductTruncation(TruncatedCopula):
     """
 
     form = "product"
+    route = "product"
 
     def __init__(self, source, point, blocks):
         super().__init__(source, point)
@@ -508,22 +545,26 @@ class NestedTruncation(TruncatedCopula):
             self.b_s.append(float(m.sectors[s][0].psi_inv(cs)))
         self._tilted_root = root.tilt(self.h0)
 
+    def _sector_map(self, s, block):
+        """Root-scale coordinate psi0_inv(.) of sector s at the points ``block``.
+
+        ``block`` holds copula-scale values of k coordinates of the sector in
+        its last axis; the sector's truncated value is
+        psi_s(max(sum_j psi_s_inv(w_j) - (k-1) b_s, 0)) with w_j the
+        root-shifted c u_j.
+        """
+        root = self.source.root
+        g = self.source.sectors[s][0]
+        w = _shift(root, self.point.c_of_t * block, self.a_s[s])
+        with np.errstate(invalid="ignore"):
+            arg = np.asarray(g.psi_inv(w)).sum(axis=-1) - (block.shape[-1] - 1) * self.b_s[s]
+            return np.asarray(root.psi_inv(np.asarray(g.psi(np.maximum(arg, 0.0)))))
+
     def _cdf(self, pts):
-        m = self.source
-        root = m.root
-        c = self.point.c_of_t
         total = np.zeros(pts.shape[0])
-        for s, sl in enumerate(m.slices):
-            g = m.sectors[s][0]
-            ds = sl.stop - sl.start
-            with np.errstate(invalid="ignore"):
-                w = np.asarray(
-                    root.psi(np.maximum(np.asarray(root.psi_inv(c * pts[:, sl])) - self.a_s[s], 0.0))
-                )
-                arg = np.asarray(g.psi_inv(w)).sum(axis=1) - (ds - 1) * self.b_s[s]
-                inner = np.asarray(g.psi(np.maximum(arg, 0.0)))
-            total = total + np.asarray(root.psi_inv(inner))
-        return np.asarray(root.psi(np.maximum(total, 0.0))) / c
+        for s, sl in enumerate(self.source.slices):
+            total = total + self._sector_map(s, pts[:, sl])
+        return np.asarray(self.source.root.psi(np.maximum(total, 0.0))) / self.point.c_of_t
 
     def biv_margin(self, s1, j1, s2, j2, u1, u2):
         """Bivariate margin of coordinates (s1, j1) and (s2, j2).
@@ -540,21 +581,11 @@ class NestedTruncation(TruncatedCopula):
             raise ValueError("margin requires two distinct coordinates")
         u1 = np.asarray(u1, dtype=float)
         u2 = np.asarray(u2, dtype=float)
+        pair = np.stack(np.broadcast_arrays(u1, u2), axis=-1)
         if s1 != s2:
-            g = self._tilted_root
-            out = g.psi(np.asarray(g.psi_inv(u1)) + np.asarray(g.psi_inv(u2)))
-            return out
-        root = m.root
-        g = m.sectors[s1][0]
-        c = self.point.c_of_t
+            return _psi_sum(self._tilted_root, pair)
         a = self.a_s[s1]
-        with np.errstate(invalid="ignore"):
-            w1 = np.asarray(root.psi(np.maximum(np.asarray(root.psi_inv(c * u1)) - a, 0.0)))
-            w2 = np.asarray(root.psi(np.maximum(np.asarray(root.psi_inv(c * u2)) - a, 0.0)))
-            arg = np.asarray(g.psi_inv(w1)) + np.asarray(g.psi_inv(w2)) - self.b_s[s1]
-            inner = np.asarray(g.psi(np.maximum(arg, 0.0)))
-            out = np.asarray(root.psi(a + np.asarray(root.psi_inv(inner)))) / c
-        return out
+        return np.asarray(m.root.psi(a + self._sector_map(s1, pair))) / self.point.c_of_t
 
 
 class MOTruncation(TruncatedCopula):
@@ -644,16 +675,7 @@ def truncate_general(model, t, method="auto"):
         )
     if method != "auto":
         raise ValueError("method must be one of 'auto', 'numeric', 'bisect'")
-    if isinstance(model, (IndependenceCopula, ComonotoneCopula)):
-        return ModelTruncation(model, tp, model)
-    if isinstance(model, ArchimedeanCopula):
-        h = float(model.generator.psi_inv(tp.c_of_t))
-        return TiltedArchimedeanTruncation(model, tp, model.generator.tilt(h))
-    if isinstance(model, NestedArchimedeanCopula):
-        return truncate_nested(model, tp)
-    if isinstance(model, MarshallOlkinCopula):
-        return truncate_mo(model, tp)
-    return GeneralTruncation(model, tp)
+    return model._truncate(tp)
 
 
 def truncate_nested(model, t):
@@ -664,26 +686,14 @@ def truncate_nested(model, t):
     """
     if not isinstance(model, NestedArchimedeanCopula):
         raise TypeError("truncate_nested expects a NestedArchimedeanCopula")
-    tp = TruncationPoint.make(model, t)
-    if isinstance(model.root, IndependenceGenerator):
-        blocks = []
-        for s, sl in enumerate(model.slices):
-            g, ds = model.sectors[s]
-            if ds == 1:
-                blocks.append((None, sl))
-            else:
-                sub = ArchimedeanCopula(g, ds)
-                blocks.append((truncate_general(sub, tp.t[sl]), sl))
-        return ProductTruncation(model, tp, blocks)
-    return NestedTruncation(model, tp)
+    return model._truncate(TruncationPoint.make(model, t))
 
 
 def truncate_mo(model, t):
     """Truncate a bivariate Marshall-Olkin model (piecewise closed form)."""
     if not isinstance(model, MarshallOlkinCopula):
         raise TypeError("truncate_mo expects a MarshallOlkinCopula")
-    tp = TruncationPoint.make(model, t)
-    return MOTruncation(model, tp)
+    return model._truncate(TruncationPoint.make(model, t))
 
 
 def truncated_cdf(model, t, x):

@@ -66,8 +66,23 @@ def model_to_dict(model, schema=True):
     return out
 
 
+def _no_extra(spec, what):
+    if spec:
+        raise ValueError(f"unknown {what} fields: {sorted(spec)}")
+
+
+def _sector_from_dict(spec):
+    spec = dict(spec)
+    sector = (generator_from_dict(spec.pop("generator")), int(spec.pop("d")))
+    _no_extra(spec, "sector")
+    return sector
+
+
 def model_from_dict(spec):
-    """Build a model from its dictionary form (inverse of model_to_dict)."""
+    """Build a model from its dictionary form (inverse of model_to_dict).
+
+    Unknown fields are rejected at every level.
+    """
     spec = dict(spec)
     schema = spec.pop("schema", None)
     if schema is not None and schema != SCHEMA:
@@ -76,23 +91,23 @@ def model_from_dict(spec):
     if kind is None:
         raise ValueError("model spec requires a 'kind' field")
     if kind == "independence":
-        return IndependenceCopula(d=spec.pop("d", 2))
-    if kind == "comonotone":
-        return ComonotoneCopula(d=spec.pop("d", 2))
-    if kind == "archimedean":
+        model = IndependenceCopula(d=spec.pop("d", 2))
+    elif kind == "comonotone":
+        model = ComonotoneCopula(d=spec.pop("d", 2))
+    elif kind == "archimedean":
         gen = generator_from_dict(spec.pop("generator"))
-        return ArchimedeanCopula(gen, d=spec.pop("d", 2))
-    if kind == "nested_archimedean":
+        model = ArchimedeanCopula(gen, d=spec.pop("d", 2))
+    elif kind == "nested_archimedean":
         root = generator_from_dict(spec.pop("root"))
-        sectors = [
-            (generator_from_dict(s["generator"]), int(s["d"])) for s in spec.pop("sectors")
-        ]
-        return NestedArchimedeanCopula(root, sectors)
-    if kind == "marshall_olkin":
-        return MarshallOlkinCopula(spec.pop("alpha1"), spec.pop("alpha2"))
-    if kind == "survival":
-        return SurvivalCopula(model_from_dict(spec.pop("inner")))
-    raise ValueError(f"unknown model kind {kind!r}")
+        model = NestedArchimedeanCopula(root, [_sector_from_dict(s) for s in spec.pop("sectors")])
+    elif kind == "marshall_olkin":
+        model = MarshallOlkinCopula(spec.pop("alpha1"), spec.pop("alpha2"))
+    elif kind == "survival":
+        model = SurvivalCopula(model_from_dict(spec.pop("inner")))
+    else:
+        raise ValueError(f"unknown model kind {kind!r}")
+    _no_extra(spec, "model")
+    return model
 
 
 def load_model(path):

@@ -5,7 +5,9 @@ models sample through the frailty construction ``U_j = psi(E_j / V)``;
 nested Clayton/Gumbel stacks through root and sector frailties; independence-
 coupled blocks blockwise.  The oracle route is the model-agnostic rejection
 sampler (resample until ``U <= t``), which doubles as the reference
-implementation every fast route is tested against.
+implementation every fast route is tested against.  Which route a truncated
+copula takes is its class attribute ``route``; ``sample_truncated`` only
+follows it.
 """
 
 from __future__ import annotations
@@ -21,11 +23,8 @@ from .copulas import (
     ComonotoneCopula,
     IndependenceCopula,
     MarshallOlkinCopula,
-    ModelTruncation,
     NestedArchimedeanCopula,
-    ProductTruncation,
     SurvivalCopula,
-    TiltedArchimedeanTruncation,
     TruncatedCopula,
     TruncationPoint,
 )
@@ -221,24 +220,22 @@ def transform_margins(raw, model, t):
 
 
 def sample_truncated(tc, n, rng):
-    """Sample a truncated copula via its fastest exact route.
+    """Sample a truncated copula by the route its class names (``tc.route``).
 
-    Tilted-Archimedean truncations reuse the frailty construction with the
-    tilted frailty; collapsed models sample directly; block products sample
-    blockwise; all remaining forms (Marshall-Olkin, nested with a dependent
-    root, survival, generic) go through the rejection oracle plus the margin
-    transform.
+    "tilted-frailty" reuses the frailty construction with the tilted frailty;
+    "closed-model" samples the collapsed model directly; "product" samples
+    blockwise; "oracle" (Marshall-Olkin, nested with a dependent root,
+    survival, generic) goes through the rejection oracle plus the margin
+    transform.  The route is recorded as ``meta["method"]``.
     """
     if not isinstance(tc, TruncatedCopula):
         raise TypeError("sample_truncated expects a TruncatedCopula")
     n = int(n)
-    if isinstance(tc, TiltedArchimedeanTruncation):
+    if tc.route == "tilted-frailty":
         sm = sample_archimedean(tc.tilted, tc.dim, n, rng)
-        method = "tilted-frailty"
-    elif isinstance(tc, ModelTruncation):
+    elif tc.route == "closed-model":
         sm = SampleMatrix(sample_model(tc.model, n, rng))
-        method = "closed-model"
-    elif isinstance(tc, ProductTruncation):
+    elif tc.route == "product":
         out = np.empty((n, tc.dim))
         for block, sl in tc.blocks:
             if block is None:
@@ -246,12 +243,10 @@ def sample_truncated(tc, n, rng):
             else:
                 out[:, sl] = sample_truncated(block, n, rng).data
         sm = SampleMatrix(out)
-        method = "product"
     else:
         raw = oracle_sample(tc.source, tc.point, n, rng)
         sm = transform_margins(raw, tc.source, tc.point)
-        method = "oracle"
-    sm.meta["method"] = method
+    sm.meta["method"] = tc.route
     sm.meta["form"] = tc.form
     return sm
 

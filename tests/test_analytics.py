@@ -9,6 +9,7 @@ from trunca import (
     MarshallOlkinCopula,
     NestedArchimedeanCopula,
     SampleMatrix,
+    TailDepReport,
     empirical_kendall_tau,
     empirical_tail_dep,
     generator,
@@ -251,3 +252,9 @@ class TestEmpiricalKendallTau:
     def test_sample_matrix_input(self):
         sm = SampleMatrix(rng_stream(37).random((100, 3)))
         assert -1.0 <= empirical_kendall_tau(sm, 0, 2) <= 1.0
+
+
+def test_taildep_report_dict_carries_converged():
+    assert TailDepReport(0.1, 0.0, "numeric-limit", converged=False).to_dict()["converged"] is False
+    rep = tail_dep_tilted(generator("clayton", 2.0), 1.0, method="numeric")
+    assert rep.to_dict()["converged"] is rep.converged

@@ -119,6 +119,30 @@ class TestSample:
         assert rc == 3
 
 
+    def test_unknown_spec_field_is_config_error(self, tmp_path, model_file):
+        spec = {**CLAYTON, "dim": 5}
+        rc = main(["sample", "--model", model_file(spec), "--t", "0.5,0.5", "--n", "10",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+
+
+# every command that samples, with the flags it needs besides --n
+SAMPLING_COMMANDS = {
+    "sample": ["--t", "0.5,0.5"],
+    "kendall": ["--t", "0.5,0.5"],
+    "taildep": ["--t", "0.5,0.5", "--q", "0.05"],
+    "oracle-compare": ["--t", "0.5,0.5"],
+    "figure-data": ["--figure", "mo"],
+}
+
+
+@pytest.mark.parametrize("command", list(SAMPLING_COMMANDS))
+def test_zero_rows_is_config_error(tmp_path, model_file, command):
+    model = [] if command == "figure-data" else ["--model", model_file(CLAYTON)]
+    argv = [command, *model, *SAMPLING_COMMANDS[command], "--n", "0", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+
+
 class TestEvaluation:
     def test_cdf(self, tmp_path, model_file):
         spec = model_file({"schema": "trunca/1", "kind": "independence", "d": 2})
@@ -154,6 +178,15 @@ class TestEvaluation:
         payload = json.loads(out.read_text())
         assert payload["lambda_lower"] == pytest.approx(2.0**-0.5, abs=1e-12)
         assert abs(payload["empirical"]["lambda_lower"] - 2.0**-0.5) < 0.15
+
+    def test_taildep_reports_convergence(self, tmp_path, model_file):
+        out = tmp_path / "td.json"
+        rc = main(["taildep", "--model", model_file(CLAYTON), "--t", "0.5,0.5",
+                   "--n", "2000", "--seed", "3", "--q", "0.05", "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert payload["converged"] is True
+        assert payload["empirical"]["converged"] is True
 
     def test_taildep_unsupported_is_config_error(self, tmp_path, model_file):
         rc = main(["taildep", "--model", model_file(MO), "--t", "0.5,0.8",

@@ -76,3 +76,28 @@ def test_file_io(tmp_path):
 def test_types_constructed():
     assert isinstance(model_from_dict(SPECS[4]), NestedArchimedeanCopula)
     assert isinstance(model_from_dict(SPECS[5]), MarshallOlkinCopula)
+
+
+CLAYTON_GEN = {"family": "clayton", "theta": 2.0}
+BAD_SPECS = {
+    "top-level": {"kind": "archimedean", "generator": CLAYTON_GEN, "dim": 5},
+    "top-level-mo": {"kind": "marshall_olkin", "alpha1": 0.2, "alpha2": 0.7, "alpha3": 0.1},
+    "sector": {
+        "kind": "nested_archimedean",
+        "root": CLAYTON_GEN,
+        "sectors": [
+            {"generator": CLAYTON_GEN, "d": 1},
+            {"generator": {"family": "clayton", "theta": 6.0}, "d": 2, "theta": 6.0},
+        ],
+    },
+    "survival-inner": {
+        "kind": "survival",
+        "inner": {"kind": "archimedean", "generator": CLAYTON_GEN, "d": 2, "dim": 2},
+    },
+}
+
+
+@pytest.mark.parametrize("spec", BAD_SPECS.values(), ids=list(BAD_SPECS))
+def test_unknown_fields_rejected(spec):
+    with pytest.raises(ValueError, match="unknown"):
+        model_from_dict(spec)
