@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import kendalltau
 
 from .copulas import (
     ArchimedeanCopula,
@@ -282,6 +281,8 @@ def empirical_kendall_tau(data, j1=0, j2=1):
     O(n log n); ties are handled with the tau-b normalization.  A constant
     column has no defined tau and raises.
     """
+    from scipy.stats import kendalltau  # costs ~1 s to import; only tau needs it
+
     X = data.data if isinstance(data, SampleMatrix) else np.asarray(data, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("need an (n, d) array with n >= 2")

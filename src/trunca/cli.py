@@ -81,17 +81,19 @@ class ConfigError(Exception):
     pass
 
 
-def _add_common(sp, model_required=True):
-    sp.add_argument("--model", required=model_required, help="path to a model-spec JSON file")
-    sp.add_argument("--t", help="truncation point, comma-separated reals in (0,1]")
-    sp.add_argument("--n", type=int, default=1000, help="number of rows/samples")
-    sp.add_argument("--seed", type=int, default=0, help="RNG seed")
-    sp.add_argument(
-        "--method",
-        choices=("auto", "tilted", "oracle"),
-        default="auto",
-        help="sampling route: fast dispatch, forced tilted/closed path, or oracle",
-    )
+def _add_common(sp, truncated=True, sampled=True):
+    sp.add_argument("--model", required=True, help="path to a model-spec JSON file")
+    if truncated:
+        sp.add_argument("--t", help="truncation point, comma-separated reals in (0,1]")
+    if sampled:
+        sp.add_argument("--n", type=int, default=1000, help="number of rows/samples")
+        sp.add_argument("--seed", type=int, default=0, help="RNG seed")
+        sp.add_argument(
+            "--method",
+            choices=("auto", "tilted", "oracle"),
+            default="auto",
+            help="sampling route: fast dispatch, forced tilted/closed path, or oracle",
+        )
     sp.add_argument("--out", help="output path (CSV or JSON depending on command)")
 
 
@@ -107,11 +109,11 @@ def build_parser():
     sp.add_argument("--raw", action="store_true", help="skip the rank (pseudo-observation) transform")
 
     sp = sub.add_parser("cdf", help="evaluate the model CDF at points")
-    _add_common(sp)
+    _add_common(sp, truncated=False, sampled=False)
     sp.add_argument("--u", action="append", required=True, help="evaluation point, comma-separated; repeatable")
 
     sp = sub.add_parser("truncate-eval", help="evaluate the truncated copula at points")
-    _add_common(sp)
+    _add_common(sp, sampled=False)
     sp.add_argument("--u", action="append", required=True, help="evaluation point, comma-separated; repeatable")
 
     sp = sub.add_parser("taildep", help="tail-dependence report for a truncated model")
@@ -358,7 +360,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.n < 1:
+        if getattr(args, "n", 1) < 1:
             raise ConfigError("--n must be at least 1")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

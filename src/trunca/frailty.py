@@ -25,7 +25,6 @@ is neither possible nor statistically relevant.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
 
 from .generators import (
     AMHGenerator,
@@ -104,6 +103,8 @@ def _sibuya_log_sf(k, alpha):
     # log P(V > k) = log prod_{i<=k}(1 - alpha/i), a Gamma-function ratio;
     # past k ~ 1e8 the direct gammaln difference drowns in rounding, so switch
     # to the ratio's asymptotic expansion (error O(k^-2))
+    from scipy.special import gammaln  # imported here: only Sibuya laws need it
+
     k = np.asarray(k, dtype=float)
     small = k < 1e8
     ks = np.where(small, k, 1.0)
@@ -187,6 +188,8 @@ def sample_tilted_sibuya(alpha, p, rng, size=None, branch="auto", return_stats=F
             log_acc = (v - 1.0) * logp
         else:
             v = np.asarray(sample_log(p, rng, size=k))
+            from scipy.special import gammaln
+
             # log prod_{j=1}^{v-1}(1 - alpha/j)
             log_acc = gammaln(v - alpha) - gammaln(1.0 - alpha) - gammaln(v)
         u = rng.random(k)

@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .copulas import (
     ArchimedeanCopula,
@@ -45,6 +44,8 @@ __all__ = [
     "write_csv",
     "write_meta",
 ]
+
+_CSV_BLOCK_ROWS = 4096
 
 
 class SamplingError(RuntimeError):
@@ -252,16 +253,41 @@ def sample_truncated(tc, n, rng):
 
 
 def pseudo_observations(data):
-    """Columnwise average ranks scaled by 1/(n + 1)."""
+    """Columnwise average ranks scaled by 1/(n + 1).
+
+    The ranks are bitwise equal to ``scipy.stats.rankdata(X, axis=0,
+    method="average")``, ties included: tied entries share the mean of the
+    ranks they span, and a column holding a NaN ranks as all NaN.
+    """
     X = data.data if isinstance(data, SampleMatrix) else np.asarray(data, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("pseudo-observations require at least two rows")
-    out = rankdata(X, axis=0, method="average") / (X.shape[0] + 1.0)
+    ranks = np.column_stack([_average_ranks(X[:, j]) for j in range(X.shape[1])])
+    out = ranks / (X.shape[0] + 1.0)
     if isinstance(data, SampleMatrix):
         meta = dict(data.meta)
         meta["pseudo_observations"] = True
         return SampleMatrix(out, meta)
     return out
+
+
+def _average_ranks(x):
+    # tie groups are runs of equal values in stable sorted order; group k spans
+    # the 1-based ranks count[k-1]+1 .. count[k], whose mean is a half-integer,
+    # exact in float64
+    n = x.size
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(xs[1:], xs[:-1], out=new[1:])
+    dense = np.cumsum(new)
+    count = np.append(np.flatnonzero(new), n)
+    ranks = np.empty(n)
+    ranks[order] = 0.5 * (count[dense] + count[dense - 1] + 1)
+    if np.isnan(xs[-1]):  # NaN sorts last
+        ranks[:] = np.nan
+    return ranks
 
 
 def empirical_copula_distance(a, b, levels=None):
@@ -288,9 +314,20 @@ def empirical_copula_distance(a, b, levels=None):
 
 
 def write_csv(sm, path):
-    """CSV with header u1,...,ud and 17 significant digits per entry."""
-    header = ",".join(f"u{j + 1}" for j in range(sm.dim))
-    np.savetxt(path, sm.data, fmt="%.17g", delimiter=",", header=header, comments="")
+    """CSV with header u1,...,ud and each entry formatted ``%.17g``.
+
+    The bytes equal ``np.savetxt(path, sm.data, fmt="%.17g", delimiter=",",
+    header=..., comments="")``.  Rows are formatted in blocks of
+    ``_CSV_BLOCK_ROWS``, one ``%`` per block, so memory stays flat in n.
+    """
+    data = sm.data
+    n, d = data.shape
+    row = ",".join(["%.17g"] * d) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(f"u{j + 1}" for j in range(d)) + "\n")
+        for start in range(0, n, _CSV_BLOCK_ROWS):
+            block = data[start:start + _CSV_BLOCK_ROWS]
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def write_meta(sm, path):

@@ -239,6 +239,25 @@ class TestEmpiricalKendallTau:
         got = empirical_kendall_tau(np.column_stack([x, y]))
         assert got == pytest.approx(kendalltau(x, y).statistic, abs=1e-12)
 
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_matches_pair_count(self, ties):
+        # tau-b from an O(n^2) count of concordant and discordant pairs,
+        # independent of scipy
+        rng = rng_stream(38)
+        x = rng.random(300)
+        y = 0.5 * x + 0.5 * rng.random(300)
+        if ties:
+            x, y = np.round(x * 8), np.round(y * 5)
+        sx = np.sign(x[:, None] - x[None, :])
+        sy = np.sign(y[:, None] - y[None, :])
+        upper = np.triu_indices(300, k=1)
+        prod = (sx * sy)[upper]
+        pairs_x = np.count_nonzero(sx[upper])
+        pairs_y = np.count_nonzero(sy[upper])
+        ref = prod.sum() / np.sqrt(float(pairs_x) * pairs_y)
+        got = empirical_kendall_tau(np.column_stack([x, y]))
+        assert abs(got - ref) <= 1e-12
+
     def test_clayton_target(self):
         m = ArchimedeanCopula(generator("clayton", 2.0), 2)
         sm = sample_truncated(truncate_general(m, [1.0, 1.0]), 100_000, rng_stream(36))

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trunca
 from trunca.cli import main
 
 CLAYTON = {
@@ -141,6 +146,53 @@ def test_zero_rows_is_config_error(tmp_path, model_file, command):
     model = [] if command == "figure-data" else ["--model", model_file(CLAYTON)]
     argv = [command, *model, *SAMPLING_COMMANDS[command], "--n", "0", "--out", str(tmp_path / "out")]
     assert main(argv) == 2
+
+
+# flags that cdf and truncate-eval never read
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cdf", "--u", "0.3,0.4", "--method", "oracle"],
+        ["cdf", "--u", "0.3,0.4", "--t", "0.5,0.5"],
+        ["truncate-eval", "--t", "0.5,0.5", "--u", "0.3,0.4", "--n", "5"],
+        ["truncate-eval", "--t", "0.5,0.5", "--u", "0.3,0.4", "--seed", "1"],
+    ],
+)
+def test_unread_flags_rejected(model_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--model", model_file(CLAYTON), *argv[1:]])
+    assert exc.value.code == 2
+
+
+def _fresh_python(code, cwd):
+    src = str(Path(trunca.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    proc = _fresh_python(
+        "import sys, trunca.cli; print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_lazy_scipy_commands_in_fresh_process(tmp_path, model_file):
+    joe = model_file({"schema": "trunca/1", "kind": "archimedean",
+                      "generator": {"family": "joe", "theta": 2.0}, "d": 2}, "joe.json")
+    runs = [
+        ["kendall", "--model", model_file(CLAYTON), "--t", "0.5,0.5", "--n", "500", "--out", "k.json"],
+        ["taildep", "--model", joe, "--t", "0.5,0.5", "--n", "2000", "--q", "0.05", "--out", "td.json"],
+    ]
+    for argv in runs:
+        proc = _fresh_python(f"import sys, trunca.cli; sys.exit(trunca.cli.main({argv!r}))", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+    assert -1.0 <= json.loads((tmp_path / "k.json").read_text())["tau"][0][1] <= 1.0
+    assert "empirical" in json.loads((tmp_path / "td.json").read_text())
 
 
 class TestEvaluation:

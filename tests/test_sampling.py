@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import kstest, rankdata
 
 from trunca import (
     ArchimedeanCopula,
@@ -25,6 +25,7 @@ from trunca import (
     write_csv,
     write_meta,
 )
+from trunca.sampling import _CSV_BLOCK_ROWS
 
 
 def tau_se(n):
@@ -60,6 +61,23 @@ class TestPseudoObservations:
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
             pseudo_observations(np.array([[0.3, 0.1]]))
+
+    @pytest.mark.parametrize(
+        "case", ["continuous", "heavy-ties", "clipped-ends", "two-rows", "one-column", "nan"]
+    )
+    def test_bitwise_equal_to_scipy_rankdata(self, case):
+        rng = rng_stream(23)
+        X = {
+            "continuous": rng.random((500, 4)),
+            "heavy-ties": rng.integers(0, 5, (400, 4)).astype(float),
+            # transform_margins clips to [0, 1], leaving ties at both ends
+            "clipped-ends": np.clip(rng.normal(0.5, 0.6, (300, 2)), 0.0, 1.0),
+            "two-rows": np.array([[0.2, 0.7], [0.2, 0.1]]),
+            "one-column": rng.integers(0, 3, (50, 1)).astype(float),
+            "nan": np.array([[0.1, 0.4], [np.nan, 0.4], [0.3, 0.2]]),
+        }[case]
+        expect = rankdata(X, axis=0, method="average") / (X.shape[0] + 1)
+        np.testing.assert_array_equal(pseudo_observations(X), expect)
 
 
 class TestSampleArchimedean:
@@ -247,3 +265,18 @@ class TestCsvOutput:
 
         meta = json.loads((tmp_path / "out.csv.meta.json").read_text())
         assert meta["seed"] == 7
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @pytest.mark.parametrize("n", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
+    def test_bytes_equal_savetxt(self, tmp_path, n, d):
+        data = rng_stream(24).random((n, d))
+        edges = [0.0, 1.0, 5e-324, 1.0 - 2.0**-53]
+        data.ravel()[: len(edges)] = edges[: data.size]
+        sm = SampleMatrix(data)
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        write_csv(sm, ours)
+        header = ",".join(f"u{j + 1}" for j in range(d))
+        np.savetxt(ref, data, fmt="%.17g", delimiter=",", header=header, comments="")
+        assert ours.read_bytes() == ref.read_bytes()
+        back = np.loadtxt(ours, delimiter=",", skiprows=1, ndmin=2)
+        np.testing.assert_array_equal(back, data)
