@@ -26,7 +26,7 @@ from .copulas import (
     SurvivalCopula,
 )
 from .frailty import rng_stream
-from .generators import OuterPowerGenerator, TiltedGenerator
+from .generators import TiltedGenerator
 from .sampling import SampleMatrix
 
 __all__ = [
@@ -64,30 +64,6 @@ class TailDepReport:
         }
 
 
-def _unwrap_outer(g):
-    if isinstance(g, OuterPowerGenerator):
-        return g.base, g.alpha
-    return g, 1.0
-
-
-def _analytic_pair(g):
-    """(lambda_l for any tilt, lambda_u at tilt 0) for a plain/outer generator."""
-    base, alpha = _unwrap_outer(g)
-    fam = base.family
-    if fam == "clayton":
-        # psi is regularly varying with index -alpha/theta: the lower
-        # coefficient survives truncation unchanged
-        lam_l = 2.0 ** (-alpha / base.theta)
-    else:
-        lam_l = 0.0
-    if fam in ("gumbel", "joe"):
-        kappa = 1.0 / base.theta
-    else:
-        kappa = 1.0
-    lam_u0 = 2.0 - 2.0 ** (alpha * kappa)
-    return lam_l, max(lam_u0, 0.0)
-
-
 def _aitken(seq):
     a0, a1, a2 = seq[-3], seq[-2], seq[-1]
     d1 = a1 - a0
@@ -103,7 +79,8 @@ def _aitken(seq):
 def tail_dep_tilted(g, h=0.0, method="analytic"):
     """Tail dependence of the Archimedean copula with generator g tilted by h.
 
-    ``method="analytic"`` evaluates the limits in closed form per family;
+    ``method="analytic"`` evaluates the limits in closed form per family
+    (the generator class's ``_tail_pair``);
     ``"numeric"`` evaluates the derivative-ratio limits on geometric grids
     (t = 10^2..10^6 and 10^-2..10^-6) with Aitken stabilization, flagging
     ``converged=False`` when the last two raw estimates differ by > 1e-4.
@@ -115,7 +92,7 @@ def tail_dep_tilted(g, h=0.0, method="analytic"):
         h += g.h
         g = g.base
     if method == "analytic":
-        lam_l, lam_u0 = _analytic_pair(g)
+        lam_l, lam_u0 = g._tail_pair()
         lam_u = lam_u0 if h == 0.0 else 0.0
         return TailDepReport(lam_l, lam_u, "analytic-limit")
     if method != "numeric":

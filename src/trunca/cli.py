@@ -243,11 +243,16 @@ def cmd_truncate_eval(args):
 
 
 def cmd_taildep(args):
+    if args.q is not None:
+        if not 0.0 < args.q < 0.5:
+            raise ConfigError("--q must lie in (0, 0.5)")
+        if args.n < 1000:
+            raise ConfigError("--q needs --n of at least 1000 rows")
     model = _load(args)
     tp = _truncation(args, model)
-    if isinstance(model, ArchimedeanCopula):
-        h = float(model.generator.psi_inv(tp.c_of_t))
-        report = tail_dep_tilted(model.generator, h)
+    tc = truncate_general(model, tp)
+    if tc.route == "tilted-frailty":
+        report = tail_dep_tilted(tc.tilted)
     elif np.all(tp.t == tp.t[0]) and model.d == 2:
         report = tail_dep_exchangeable_equal_t(model, float(tp.t[0]))
     else:
@@ -266,6 +271,8 @@ def cmd_taildep(args):
 
 
 def cmd_kendall(args):
+    if args.n < 2:
+        raise ConfigError("kendall needs --n of at least 2")
     model = _load(args)
     tp = _truncation(args, model)
     rng = rng_stream(args.seed)

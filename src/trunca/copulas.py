@@ -323,17 +323,15 @@ class NestedArchimedeanCopula(CopulaModel):
         return _shift(g, _shift(root, y, outer_rest), inner_rest)
 
     def _truncate(self, tp):
-        # an independence root makes the truncation the product of the
-        # truncated sectors
         if not isinstance(self.root, IndependenceGenerator):
             return NestedTruncation(self, tp)
-        blocks = []
-        for (g, ds), sl in zip(self.sectors, self.slices):
-            if ds == 1:
-                blocks.append((None, sl))
-            else:
-                blocks.append((truncate_general(ArchimedeanCopula(g, ds), tp.t[sl]), sl))
-        return ProductTruncation(self, tp, blocks)
+        # an independence root makes the truncation the product of the
+        # truncated sectors: the same nest with each sector's tilted generator
+        sectors = [
+            (g if ds == 1 else truncate_general(ArchimedeanCopula(g, ds), tp.t[sl]).tilted, ds)
+            for (g, ds), sl in zip(self.sectors, self.slices)
+        ]
+        return ProductTruncation(self, tp, NestedArchimedeanCopula(self.root, sectors))
 
     def __repr__(self):
         inner = ", ".join(f"({g!r}, {ds})" for g, ds in self.sectors)
@@ -466,7 +464,7 @@ class TruncatedCopula:
 
 
 class ModelTruncation(TruncatedCopula):
-    """Truncations that are a plain model again (independence, comonotone)."""
+    """Truncations that are a model again (``model``), sampled as that model."""
 
     form = "model"
     route = "closed-model"
@@ -489,32 +487,22 @@ class TiltedArchimedeanTruncation(ModelTruncation):
         super().__init__(source, point, ArchimedeanCopula(tilted, source.d))
         self.tilted = tilted
 
-    def as_model(self):
-        """The truncation as a standalone Archimedean model."""
-        return self.model
 
-
-class ProductTruncation(TruncatedCopula):
+class ProductTruncation(ModelTruncation):
     """Truncation of an independence-coupled block model: the blockwise product.
 
-    ``blocks`` pairs each coordinate slice with its own truncated copula
-    (``None`` marks a singleton block, whose truncation is uniform).
+    Its ``model`` is the nest with the same independence root whose sectors
+    of dimension >= 2 carry their truncation's tilted generator.
     """
 
     form = "product"
     route = "product"
 
-    def __init__(self, source, point, blocks):
-        super().__init__(source, point)
-        self.blocks = blocks
-
     def _cdf(self, pts):
+        # the exact product; the nested form psi(sum psi_inv) would round differently
         out = np.ones(pts.shape[0])
-        for block, sl in self.blocks:
-            if block is None:
-                out = out * pts[:, sl.start]
-            else:
-                out = out * np.atleast_1d(block.cdf(pts[:, sl]))
+        for s, sl in enumerate(self.model.slices):
+            out = out * np.clip(self.model._sector_cdf(s, pts[:, sl]), 0.0, 1.0)
         return out
 
 

@@ -1,21 +1,13 @@
-"""Frailty samplers: base laws per generator family and their exponential tilts.
+"""Frailty laws and their exponential tilts, as plain samplers.
 
-Every generator here is a Laplace-Stieltjes transform of a frailty law F.
-Tilting the generator by h corresponds to reweighting F by ``e^{-h v}``
-(normalized by ``psi(h)``), and each family admits an exact sampler for the
-tilted law:
-
-* Clayton  -- Gamma(1/theta) tilts conjugately to Gamma(1/theta, rate 1 + h);
-* AMH      -- Geometric(1 - theta) on {1, 2, ...} tilts to
-              Geometric(1 - e^{-h} theta);
-* Frank    -- Log(p) tilts to Log(p e^{-h});
-* Gumbel   -- positive stable tilts to the exponentially tilted stable,
-              sampled by a fast rejection over m ~ h^alpha summands;
-* Joe      -- Sibuya(1/theta) tilts to the tilted Sibuya law, sampled by a
-              two-envelope rejection with overall constant below
-              1/(1 - 1/e) ~ 1.582;
-* outer powers S V^(1/alpha) tilt by splitting the tilt between the mixing
-  variable (tilt h^alpha) and a conditionally tilted stable factor.
+Every Archimedean generator is the Laplace-Stieltjes transform of a frailty
+law F; tilting the generator by h reweights F by ``e^{-h v}`` (normalized by
+``psi(h)``).  This module holds the laws only and imports nothing from the
+rest of the package: each generator class picks its law in ``_frailty``.
+Beside numpy's gamma and geometric laws these are the log-series law, the
+Sibuya law and its tilt (a two-envelope rejection with overall constant
+below 1/(1 - 1/e) ~ 1.582), and the positive stable law and its exponential
+tilt (a fast rejection over m ~ h^alpha summands).
 
 Discrete samplers return integer-valued float arrays: Sibuya variates can
 exceed 2**53 (the law has infinite mean), where exact integer representation
@@ -25,17 +17,6 @@ is neither possible nor statistically relevant.
 from __future__ import annotations
 
 import numpy as np
-
-from .generators import (
-    AMHGenerator,
-    ClaytonGenerator,
-    FrankGenerator,
-    GumbelGenerator,
-    IndependenceGenerator,
-    JoeGenerator,
-    OuterPowerGenerator,
-    TiltedGenerator,
-)
 
 __all__ = [
     "rng_stream",
@@ -279,45 +260,10 @@ def sample_frailty(g, h, rng, size=None):
 
     ``h = 0`` gives the base frailty of the generator; ``h > 0`` its
     exponential tilt.  Tilted generators fold their own tilt into ``h``.
+    The generator's class picks the law (``g._frailty``).
     """
     h = float(h)
     if not h >= 0:
         raise ValueError("tilt h must be nonnegative")
-    if isinstance(g, TiltedGenerator):
-        return sample_frailty(g.base, g.h + h, rng, size)
     n = 1 if size is None else int(size)
-
-    if isinstance(g, OuterPowerGenerator):
-        # Conditional decomposition of the stochastic representation S V^(1/alpha):
-        # tilt the mixing variable by h^alpha, then draw a stable factor tilted
-        # by h V^(1/alpha) so the compound transform is psi((t+h)^alpha-ish) --
-        # together they realize psi_op(t + h)/psi_op(h) exactly.
-        a = g.alpha
-        v = np.asarray(sample_frailty(g.base, h**a, rng, size=n), dtype=float)
-        root = np.power(v, 1.0 / a)
-        s = np.asarray(sample_tilted_stable(a, h * root, rng, size=n))
-        return _size_out(root * s, size)
-
-    if isinstance(g, IndependenceGenerator):
-        return _size_out(np.ones(n), size)
-    if isinstance(g, ClaytonGenerator):
-        return _size_out(rng.gamma(1.0 / g.theta, scale=1.0 / (1.0 + h), size=n), size)
-    if isinstance(g, AMHGenerator):
-        p = 1.0 - g.theta * np.exp(-h)
-        return _size_out(rng.geometric(p, size=n).astype(float), size)
-    if isinstance(g, FrankGenerator):
-        p = -np.expm1(-g.theta) * np.exp(-h)
-        return _size_out(np.asarray(sample_log(p, rng, size=n)), size)
-    if isinstance(g, GumbelGenerator):
-        if g.theta == 1.0:
-            return _size_out(np.ones(n), size)
-        return _size_out(np.asarray(sample_tilted_stable(1.0 / g.theta, h, rng, size=n)), size)
-    if isinstance(g, JoeGenerator):
-        if g.theta == 1.0:
-            return _size_out(np.ones(n), size)
-        if h == 0.0:
-            return _size_out(np.asarray(sample_sibuya(1.0 / g.theta, rng, size=n)), size)
-        return _size_out(
-            np.asarray(sample_tilted_sibuya(1.0 / g.theta, np.exp(-h), rng, size=n)), size
-        )
-    raise TypeError(f"no frailty sampler for generator type {type(g).__name__}")
+    return _size_out(g._frailty(h, rng, n), size)

@@ -1,5 +1,10 @@
 """Archimedean generator families with tilting and outer-power transforms.
 
+A family class carries the three facts truncation needs together: ``psi``
+(with its inverse and derivatives), the frailty law tilted by ``e^{-hv}``
+(``_frailty``, which picks one of the laws in ``frailty``) and its analytic
+tail coefficients (``_tail_pair``).
+
 A generator ``psi`` maps ``[0, inf)`` onto ``(0, 1]`` with ``psi(0) = 1``,
 strictly decreasing to 0, and is completely monotone on the stated parameter
 ranges, so it is the Laplace-Stieltjes transform of a positive random
@@ -18,6 +23,8 @@ Two transforms are closed on this class and carry the library:
 from __future__ import annotations
 
 import numpy as np
+
+from .frailty import sample_log, sample_sibuya, sample_tilted_sibuya, sample_tilted_stable
 
 __all__ = [
     "Generator",
@@ -144,6 +151,18 @@ class Generator:
         # grows polynomially in 1/C(t) (power-decay generators) need this.
         return None
 
+    def _frailty(self, h, rng, n):
+        """n draws of the frailty tilted by e^{-hv}, Laplace transform psi(t + h)/psi(h)."""
+        raise TypeError(f"no frailty sampler for generator type {type(self).__name__}")
+
+    def _tail_pair(self, alpha=1.0):
+        """(lambda_l at any tilt, lambda_u at tilt 0) of the generator psi(t^alpha).
+
+        The upper coefficient is 2 - 2^(alpha kappa): kappa = 1 here, and
+        Gumbel and Joe pass alpha kappa with their kappa = 1/theta.
+        """
+        return 0.0, max(2.0 - 2.0**alpha, 0.0)
+
     def __repr__(self):
         if self.theta is None:
             return f"{type(self).__name__}()"
@@ -181,6 +200,9 @@ class IndependenceGenerator(Generator):
     def _tilted_inv(self, h, u):
         # tilting the exponential generator is the identity
         return -np.log(u)
+
+    def _frailty(self, h, rng, n):
+        return np.ones(n)
 
 
 class ClaytonGenerator(Generator):
@@ -220,6 +242,15 @@ class ClaytonGenerator(Generator):
         # psi_inv(psi(h) u) - h = (1 + h)(u^-theta - 1)
         return (1.0 + h) * np.expm1(-self.theta * np.log(u))
 
+    def _frailty(self, h, rng, n):
+        # Gamma(1/theta) tilts conjugately to Gamma(1/theta, rate 1 + h)
+        return rng.gamma(1.0 / self.theta, scale=1.0 / (1.0 + h), size=n)
+
+    def _tail_pair(self, alpha=1.0):
+        # psi is regularly varying with index -alpha/theta: the lower
+        # coefficient survives truncation unchanged
+        return 2.0 ** (-alpha / self.theta), super()._tail_pair(alpha)[1]
+
 
 class AMHGenerator(Generator):
     """psi(t) = (1 - theta) / (exp(t) - theta), theta in [0, 1)."""
@@ -256,6 +287,11 @@ class AMHGenerator(Generator):
     def _log_neg_dpsi(self, t):
         th = self.theta
         return np.log1p(-th) - t - 2.0 * np.log1p(-th * np.exp(-t))
+
+    def _frailty(self, h, rng, n):
+        # Geometric(1 - theta) on {1, 2, ...} tilts to Geometric(1 - e^{-h} theta)
+        p = 1.0 - self.theta * np.exp(-h)
+        return rng.geometric(p, size=n).astype(float)
 
 
 class FrankGenerator(Generator):
@@ -300,6 +336,11 @@ class FrankGenerator(Generator):
     def _log_neg_dpsi(self, t):
         z = self._log_p - t
         return z - log1mexp(z) - np.log(self.theta)
+
+    def _frailty(self, h, rng, n):
+        # Log(p) tilts to Log(p e^{-h})
+        p = -np.expm1(-self.theta) * np.exp(-h)
+        return sample_log(p, rng, size=n)
 
 
 class GumbelGenerator(Generator):
@@ -349,6 +390,15 @@ class GumbelGenerator(Generator):
         x = -np.log(u)
         return h * np.expm1(self.theta * np.log1p(x * h ** (-1.0 / self.theta)))
 
+    def _frailty(self, h, rng, n):
+        # the positive stable law tilts to the exponentially tilted stable
+        if self.theta == 1.0:
+            return np.ones(n)
+        return sample_tilted_stable(1.0 / self.theta, h, rng, size=n)
+
+    def _tail_pair(self, alpha=1.0):
+        return super()._tail_pair(alpha * (1.0 / self.theta))
+
 
 class JoeGenerator(Generator):
     """psi(t) = 1 - (1 - e^(-t))^(1/theta), theta >= 1."""
@@ -393,6 +443,17 @@ class JoeGenerator(Generator):
         if ith == 1.0:
             return -np.asarray(t, dtype=float)
         return np.log(ith) + (ith - 1.0) * log1mexp(-t) - t
+
+    def _frailty(self, h, rng, n):
+        # Sibuya(1/theta) tilts to the tilted Sibuya law
+        if self.theta == 1.0:
+            return np.ones(n)
+        if h == 0.0:
+            return sample_sibuya(1.0 / self.theta, rng, size=n)
+        return sample_tilted_sibuya(1.0 / self.theta, np.exp(-h), rng, size=n)
+
+    def _tail_pair(self, alpha=1.0):
+        return super()._tail_pair(alpha * (1.0 / self.theta))
 
 
 class TiltedGenerator(Generator):
@@ -445,6 +506,9 @@ class TiltedGenerator(Generator):
 
     def _log_neg_dpsi(self, t):
         return self.base.log_neg_psi_deriv(t + self.h) - self._log_psi_h
+
+    def _frailty(self, h, rng, n):
+        return self.base._frailty(self.h + h, rng, n)
 
     def __repr__(self):
         return f"TiltedGenerator({self.base!r}, h={self.h!r})"
@@ -515,6 +579,17 @@ class OuterPowerGenerator(Generator):
         if d is None:
             d = np.maximum(self.base.psi_inv(self.base.psi(ha) * np.asarray(u)) - ha, 0.0)
         return h * np.expm1(np.log1p(d / ha) / self.alpha)
+
+    def _frailty(self, h, rng, n):
+        # Conditional decomposition of the stochastic representation S V^(1/alpha):
+        # tilt the mixing variable by h^alpha, then draw a stable factor tilted
+        # by h V^(1/alpha); together they realize psi_op(t + h)/psi_op(h) exactly.
+        a = self.alpha
+        root = np.power(self.base._frailty(h**a, rng, n), 1.0 / a)
+        return root * sample_tilted_stable(a, h * root, rng, size=n)
+
+    def _tail_pair(self, alpha=1.0):
+        return self.base._tail_pair(alpha * self.alpha)
 
     def __repr__(self):
         return f"OuterPowerGenerator({self.base!r}, alpha={self.alpha!r})"

@@ -3,11 +3,12 @@
 The fast routes are exact: Archimedean (and tilted/outer-power Archimedean)
 models sample through the frailty construction ``U_j = psi(E_j / V)``;
 nested Clayton/Gumbel stacks through root and sector frailties; independence-
-coupled blocks blockwise.  The oracle route is the model-agnostic rejection
-sampler (resample until ``U <= t``), which doubles as the reference
-implementation every fast route is tested against.  Which route a truncated
-copula takes is its class attribute ``route``; ``sample_truncated`` only
-follows it.
+coupled blocks blockwise.  A truncation that is a model again (the
+"closed-model" and "product" routes) samples as that model, ``tc.model``.
+The oracle route is the model-agnostic rejection sampler (resample until
+``U <= t``), which doubles as the reference implementation every fast route
+is tested against.  Which route a truncated copula takes is its class
+attribute ``route``; ``sample_truncated`` only follows it.
 """
 
 from __future__ import annotations
@@ -224,29 +225,22 @@ def sample_truncated(tc, n, rng):
     """Sample a truncated copula by the route its class names (``tc.route``).
 
     "tilted-frailty" reuses the frailty construction with the tilted frailty;
-    "closed-model" samples the collapsed model directly; "product" samples
-    blockwise; "oracle" (Marshall-Olkin, nested with a dependent root,
-    survival, generic) goes through the rejection oracle plus the margin
-    transform.  The route is recorded as ``meta["method"]``.
+    "closed-model" and "product" sample the truncation's own model
+    (``tc.model``; a product is a nest with an independence root); "oracle"
+    (Marshall-Olkin, nested with a dependent root, survival, generic) goes
+    through the rejection oracle plus the margin transform.  The route is
+    recorded as ``meta["method"]``.
     """
     if not isinstance(tc, TruncatedCopula):
         raise TypeError("sample_truncated expects a TruncatedCopula")
     n = int(n)
     if tc.route == "tilted-frailty":
         sm = sample_archimedean(tc.tilted, tc.dim, n, rng)
-    elif tc.route == "closed-model":
-        sm = SampleMatrix(sample_model(tc.model, n, rng))
-    elif tc.route == "product":
-        out = np.empty((n, tc.dim))
-        for block, sl in tc.blocks:
-            if block is None:
-                out[:, sl.start] = rng.random(n)
-            else:
-                out[:, sl] = sample_truncated(block, n, rng).data
-        sm = SampleMatrix(out)
-    else:
+    elif tc.route == "oracle":
         raw = oracle_sample(tc.source, tc.point, n, rng)
         sm = transform_margins(raw, tc.source, tc.point)
+    else:
+        sm = SampleMatrix(sample_model(tc.model, n, rng))
     sm.meta["method"] = tc.route
     sm.meta["form"] = tc.form
     return sm

@@ -58,6 +58,9 @@ class TestTailDepTilted:
             (generator("joe", 2.0), 0.0),
             (generator("frank", 4.0), 0.5),
             (generator("clayton", 1.5, outer_alpha=0.6), 2.0),
+            (generator("gumbel", 1.5, outer_alpha=0.8), 0.0),
+            (generator("joe", 2.0, outer_alpha=0.6), 0.0),
+            (generator("independence", outer_alpha=0.5), 0.0),
         ]:
             a = tail_dep_tilted(g, h)
             n = tail_dep_tilted(g, h, method="numeric")

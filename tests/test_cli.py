@@ -148,6 +148,22 @@ def test_zero_rows_is_config_error(tmp_path, model_file, command):
     assert main(argv) == 2
 
 
+# flag values outside what the command can use, caught before sampling
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["taildep", "--t", "0.5,0.5", "--q", "0.7"],
+        ["taildep", "--t", "0.5,0.5", "--q", "0.05", "--n", "500"],
+        ["kendall", "--t", "0.5,0.5", "--n", "1"],
+    ],
+)
+def test_out_of_range_flag_is_config_error(tmp_path, model_file, argv, capsys):
+    out = tmp_path / "out.json"
+    assert main([argv[0], "--model", model_file(CLAYTON), *argv[1:], "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 # flags that cdf and truncate-eval never read
 @pytest.mark.parametrize(
     "argv",

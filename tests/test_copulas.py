@@ -23,6 +23,7 @@ from trunca import (
     pseudo_observations,
     rng_stream,
     sample_archimedean,
+    sample_nested,
     sample_truncated,
     survival,
     transform_margins,
@@ -350,7 +351,10 @@ class TestNested:
         block = truncate_general(ArchimedeanCopula(generator("clayton", 2.0), 2), t[:2])
         rng = np.random.default_rng(12)
         u = rng.random((200, 3))
-        assert np.max(np.abs(tc.cdf(u) - np.atleast_1d(block.cdf(u[:, :2])) * u[:, 2])) <= 1e-12
+        assert np.array_equal(tc.cdf(u), np.atleast_1d(block.cdf(u[:, :2])) * u[:, 2])
+        # the product samples as its model: the nest of the tilted sectors
+        got = sample_truncated(tc, 1000, rng_stream(14))
+        assert np.array_equal(got.data, sample_nested(tc.model, 1000, rng_stream(14)).data)
 
     def test_cross_sector_margin_is_tilted_root(self):
         m, t = self.make()

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import gammaln
 from scipy.stats import chi2
 
 from trunca import (
+    Generator,
     generator,
     rng_stream,
     sample_frailty,
@@ -221,6 +224,18 @@ class TestTiltedStable:
         assert np.all(np.diff(means) < 0)
 
 
+# theta ranges per family for property tests, and tilts with exact zeros
+THETAS = {
+    "independence": st.none(),
+    "clayton": st.floats(0.1, 10.0),
+    "amh": st.floats(0.0, 0.95),
+    "frank": st.floats(0.1, 30.0),
+    "gumbel": st.floats(1.0, 5.0),
+    "joe": st.floats(1.0, 5.0),
+}
+TILTS = st.just(0.0) | st.floats(0.01, 8.0)
+
+
 class TestFrailtyDispatch:
     def test_clayton_tilted_gamma(self):
         n = 400_000
@@ -287,6 +302,28 @@ class TestFrailtyDispatch:
         v = np.asarray(sample_frailty(g, 0.0, rng_stream(24), size=200_000))
         se = v.std(ddof=1) / np.sqrt(v.size)
         assert abs(v.mean() - 0.5 / 7.0) <= 4 * se
+
+    @given(
+        g=st.sampled_from(sorted(THETAS)).flatmap(
+            lambda fam: st.builds(generator, st.just(fam), THETAS[fam], st.none() | st.floats(0.3, 1.0))
+        ),
+        h1=TILTS,
+        h2=TILTS,
+        seed=st.integers(0, 2**32),
+    )
+    def test_tilts_compose_additively(self, g, h1, h2, seed):
+        a = np.asarray(sample_frailty(g.tilt(h1), h2, rng_stream(seed), size=16))
+        b = np.asarray(sample_frailty(g, h1 + h2, rng_stream(seed), size=16))
+        assert np.array_equal(a, b)
+
+    def test_generator_without_law_raises(self):
+        class Bare(Generator):
+            def _log_psi(self, t):
+                return -t
+
+        for g in (Bare(), Bare().tilt(0.5), Bare().outer_power(0.5)):
+            with pytest.raises(TypeError, match="no frailty sampler for generator type Bare"):
+                sample_frailty(g, 0.3, rng_stream(27), size=4)
 
     def test_determinism(self):
         a = np.asarray(sample_frailty(generator("joe", 2.0), 0.7, rng_stream(25), size=1000))
