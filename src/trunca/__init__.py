@@ -40,11 +40,8 @@ from .copulas import (
     TruncationPoint,
     box_mass,
     ev_scaling_check,
-    nested_biv_margin,
     survival,
     truncate_general,
-    truncate_mo,
-    truncate_nested,
     truncated_cdf,
 )
 from .frailty import (

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copulas import (
-    ArchimedeanCopula,
-    ComonotoneCopula,
-    IndependenceCopula,
-    MarshallOlkinCopula,
-    SurvivalCopula,
-)
+from .copulas import ArchimedeanCopula, TruncationPoint
 from .frailty import rng_stream
 from .generators import TiltedGenerator
 from .sampling import SampleMatrix
@@ -83,7 +77,8 @@ def tail_dep_tilted(g, h=0.0, method="analytic"):
     (the generator class's ``_tail_pair``);
     ``"numeric"`` evaluates the derivative-ratio limits on geometric grids
     (t = 10^2..10^6 and 10^-2..10^-6) with Aitken stabilization, flagging
-    ``converged=False`` when the last two raw estimates differ by > 1e-4.
+    ``converged=False`` when, for either tail, the Aitken values of the last
+    three and of the three before the last estimate differ by > 1e-4.
     """
     h = float(h)
     if h < 0:
@@ -107,38 +102,15 @@ def tail_dep_tilted(g, h=0.0, method="analytic"):
     upper_seq = [2.0 - 2.0 * ratio(10.0**-k) for k in range(2, 7)]
     lam_l = min(max(_aitken(lower_seq), 0.0), 1.0)
     lam_u = min(max(_aitken(upper_seq), 0.0), 1.0)
-    converged = (
-        abs(lower_seq[-1] - lower_seq[-2]) <= 1e-4
-        and abs(upper_seq[-1] - upper_seq[-2]) <= 1e-4
+    converged = all(
+        abs(_aitken(seq[-4:-1]) - _aitken(seq[-3:])) <= 1e-4 for seq in (lower_seq, upper_seq)
     )
     return TailDepReport(lam_l, lam_u, "numeric-limit", converged=converged)
 
 
 def model_tail_dep(model):
     """Analytic (lambda_l, lambda_u) of an untruncated bivariate model."""
-    if isinstance(model, IndependenceCopula):
-        return 0.0, 0.0
-    if isinstance(model, ComonotoneCopula):
-        return 1.0, 1.0
-    if isinstance(model, ArchimedeanCopula):
-        rep = tail_dep_tilted(model.generator, 0.0)
-        return rep.lambda_lower, rep.lambda_upper
-    if isinstance(model, MarshallOlkinCopula):
-        return 0.0, min(model.alpha1, model.alpha2)
-    if isinstance(model, SurvivalCopula):
-        ll, lu = model_tail_dep(model.inner)
-        return lu, ll
-    raise TypeError(f"no analytic tail dependence for {type(model).__name__}")
-
-
-def _is_exchangeable(model):
-    if isinstance(model, (IndependenceCopula, ComonotoneCopula, ArchimedeanCopula)):
-        return True
-    if isinstance(model, MarshallOlkinCopula):
-        return model.alpha1 == model.alpha2
-    if isinstance(model, SurvivalCopula):
-        return _is_exchangeable(model.inner)
-    return False
+    return model._tail_dep()
 
 
 def tail_dep_exchangeable_equal_t(model, t, step=_FD_STEP):
@@ -151,7 +123,7 @@ def tail_dep_exchangeable_equal_t(model, t, step=_FD_STEP):
     """
     if model.d != 2:
         raise ValueError("equal-threshold tail dependence needs a bivariate model")
-    if not _is_exchangeable(model):
+    if not model.exchangeable:
         raise ValueError("model must be exchangeable for the equal-threshold formulas")
     t = float(t)
     if not 0.0 < t <= 1.0:
@@ -187,18 +159,10 @@ def kendall_dist_truncated(g, t, u, d=None):
     limited to d in {2, 3}; t = 1 recovers the classical Archimedean Kendall
     distribution.
     """
-    t = np.asarray(getattr(t, "t", t), dtype=float)
-    if d is None:
-        d = t.size
-    d = int(d)
+    d = int(np.size(getattr(t, "t", t)) if d is None else d)
     if d not in (2, 3):
         raise ValueError("Kendall distribution implemented for d in {2, 3}")
-    if t.size != d:
-        raise ValueError("threshold vector length must match d")
-    model = ArchimedeanCopula(g, d)
-    c = float(model.cdf(t))
-    if not c > 0:
-        raise ValueError("C(t) must be positive")
+    c = TruncationPoint.make(ArchimedeanCopula(g, d), t).c_of_t
     h = float(g.psi_inv(c))
 
     u_in = np.asarray(u, dtype=float)

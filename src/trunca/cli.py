@@ -253,7 +253,7 @@ def cmd_taildep(args):
     tc = truncate_general(model, tp)
     if tc.route == "tilted-frailty":
         report = tail_dep_tilted(tc.tilted)
-    elif np.all(tp.t == tp.t[0]) and model.d == 2:
+    elif model.d == 2 and np.all(tp.t == tp.t[0]) and model.exchangeable:
         report = tail_dep_exchangeable_equal_t(model, float(tp.t[0]))
     else:
         raise ConfigError(
@@ -275,6 +275,10 @@ def cmd_kendall(args):
         raise ConfigError("kendall needs --n of at least 2")
     model = _load(args)
     tp = _truncation(args, model)
+    if args.u and not (isinstance(model, ArchimedeanCopula) and model.d in (2, 3)):
+        raise ConfigError(
+            "--u (the Kendall distribution) needs an Archimedean model with d in {2, 3}"
+        )
     rng = rng_stream(args.seed)
     sm = _sample(model, tp, args, rng)
     d = sm.dim
@@ -283,7 +287,7 @@ def cmd_kendall(args):
         for j in range(i + 1, d):
             tau[i, j] = tau[j, i] = empirical_kendall_tau(sm, i, j)
     payload = {"schema": SCHEMA, "t": tp.t.tolist(), "n": sm.n, "tau": tau.tolist()}
-    if args.u and isinstance(model, ArchimedeanCopula):
+    if args.u:
         us = np.asarray([float(tok) for text in args.u for tok in text.split(",")])
         payload["kendall_dist"] = {
             "u": us.tolist(),

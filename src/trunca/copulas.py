@@ -15,6 +15,12 @@ with an explicit singular curve, and independence/comonotonicity are fixed
 points.  Everything else (survival wrappers in particular) evaluates through
 monotone bisection of the sections.  Each truncated form in turn names its
 sampling ``route`` (see ``sampling.sample_truncated``).
+
+A truncated copula is itself a ``CopulaModel``, and truncations compose:
+truncating C_t at s is truncating C at t*_j = sec_j_inv(C(t) s_j), so a
+truncation of a truncation comes back in the source's own closed form.
+Each model class also knows its analytic tail coefficients (``_tail_dep``)
+and whether it is ``exchangeable``.
 """
 
 from __future__ import annotations
@@ -44,10 +50,7 @@ __all__ = [
     "MOTruncation",
     "GeneralTruncation",
     "truncate_general",
-    "truncate_nested",
-    "truncate_mo",
     "truncated_cdf",
-    "nested_biv_margin",
     "ev_scaling_check",
     "box_mass",
 ]
@@ -73,9 +76,14 @@ class CopulaModel:
 
     kind = ""
     d: int
+    exchangeable = False
 
     def _cdf(self, pts):
         raise NotImplementedError
+
+    def _tail_dep(self):
+        """Analytic (lambda_l, lambda_u) of the bivariate model."""
+        raise TypeError(f"no analytic tail dependence for {type(self).__name__}")
 
     def cdf(self, u):
         """C(u) for a point (d,) or a stack of points (n, d)."""
@@ -153,6 +161,7 @@ class IndependenceCopula(CopulaModel):
     """C(u) = prod_j u_j."""
 
     kind = "independence"
+    exchangeable = True
 
     def __init__(self, d=2):
         d = int(d)
@@ -162,6 +171,9 @@ class IndependenceCopula(CopulaModel):
 
     def _cdf(self, pts):
         return pts.prod(axis=1)
+
+    def _tail_dep(self):
+        return 0.0, 0.0
 
     def _section_inv_analytic(self, j, y, t):
         rest = float(np.prod(np.delete(t, j)))
@@ -175,6 +187,7 @@ class ComonotoneCopula(CopulaModel):
     """C(u) = min_j u_j."""
 
     kind = "comonotone"
+    exchangeable = True
 
     def __init__(self, d=2):
         d = int(d)
@@ -184,6 +197,9 @@ class ComonotoneCopula(CopulaModel):
 
     def _cdf(self, pts):
         return pts.min(axis=1)
+
+    def _tail_dep(self):
+        return 1.0, 1.0
 
     def _section_inv_analytic(self, j, y, t):
         return y.copy()
@@ -196,6 +212,7 @@ class ArchimedeanCopula(CopulaModel):
     """C(u) = psi(sum_j psi_inv(u_j)) for any generator-like object."""
 
     kind = "archimedean"
+    exchangeable = True
 
     def __init__(self, generator, d=2):
         d = int(d)
@@ -216,6 +233,9 @@ class ArchimedeanCopula(CopulaModel):
     def _truncate(self, tp):
         h = float(self.generator.psi_inv(tp.c_of_t))
         return TiltedArchimedeanTruncation(self, tp, self.generator.tilt(h))
+
+    def _tail_dep(self):
+        return self.generator._tail_pair()
 
     def __repr__(self):
         return f"ArchimedeanCopula({self.generator!r}, d={self.d})"
@@ -371,8 +391,15 @@ class MarshallOlkinCopula(CopulaModel):
             high = np.power(y / tm, 1.0 / (1.0 - aj))
         return np.where(y <= cut, low, high)
 
+    @property
+    def exchangeable(self):
+        return self.alpha1 == self.alpha2
+
     def _truncate(self, tp):
         return MOTruncation(self, tp)
+
+    def _tail_dep(self):
+        return 0.0, min(self.alpha1, self.alpha2)
 
     def __repr__(self):
         return f"MarshallOlkinCopula({self.alpha1!r}, {self.alpha2!r})"
@@ -389,9 +416,17 @@ class SurvivalCopula(CopulaModel):
             raise ValueError("survival wrapping is implemented for d = 2 only")
         self.inner = inner
 
+    @property
+    def exchangeable(self):
+        return self.inner.exchangeable
+
     def _cdf(self, pts):
         v = np.atleast_1d(self.inner.cdf(1.0 - pts))
         return np.clip(pts.sum(axis=1) - 1.0 + v, 0.0, 1.0)
+
+    def _tail_dep(self):
+        ll, lu = self.inner._tail_dep()
+        return lu, ll
 
     def __repr__(self):
         return f"SurvivalCopula({self.inner!r})"
@@ -431,7 +466,7 @@ class TruncationPoint:
         return cls(t=t, c_of_t=c)
 
 
-class TruncatedCopula:
+class TruncatedCopula(CopulaModel):
     """The copula of U | U <= t on the unit cube (copula scale).
 
     ``route`` names how ``sampling.sample_truncated`` draws from the form:
@@ -445,18 +480,20 @@ class TruncatedCopula:
     def __init__(self, source, point):
         self.source = source
         self.point = point
-
-    @property
-    def dim(self):
-        return self.source.d
-
-    def _cdf(self, pts):
-        raise NotImplementedError
+        self.d = source.d
 
     def cdf(self, u):
-        pts, squeeze = _unit_points(u, self.dim)
+        pts, squeeze = _unit_points(u, self.d)
         out = np.clip(self._cdf(pts), 0.0, 1.0)
         return float(out[0]) if squeeze else out
+
+    def _truncate(self, tp):
+        # U_t <= s exactly when the source's X <= t* with t*_j = F_{t,j}^{-1}(s_j),
+        # so this truncation is the source's own truncation at t*
+        src = self.source
+        c = self.point.c_of_t
+        t_star = [src.margin_section_inv(j, c * tp.t[j], self.point.t) for j in range(self.d)]
+        return src._truncate(TruncationPoint.make(src, t_star))
 
     def __repr__(self):
         t = np.array2string(self.point.t, separator=", ")
@@ -641,7 +678,7 @@ class GeneralTruncation(TruncatedCopula):
         c = self.point.c_of_t
         t = self.point.t
         x = np.empty_like(pts)
-        for j in range(self.dim):
+        for j in range(self.d):
             x[:, j] = self.source.margin_section_inv(
                 j, c * pts[:, j], t, method=self.inverse_method
             )
@@ -666,24 +703,6 @@ def truncate_general(model, t, method="auto"):
     return model._truncate(tp)
 
 
-def truncate_nested(model, t):
-    """Truncate a nested Archimedean model.
-
-    With an independence root the result is the product of the truncated
-    sectors; otherwise the closed nested form with precomputed constants.
-    """
-    if not isinstance(model, NestedArchimedeanCopula):
-        raise TypeError("truncate_nested expects a NestedArchimedeanCopula")
-    return model._truncate(TruncationPoint.make(model, t))
-
-
-def truncate_mo(model, t):
-    """Truncate a bivariate Marshall-Olkin model (piecewise closed form)."""
-    if not isinstance(model, MarshallOlkinCopula):
-        raise TypeError("truncate_mo expects a MarshallOlkinCopula")
-    return model._truncate(TruncationPoint.make(model, t))
-
-
 def truncated_cdf(model, t, x):
     """F_t(x) = C(min(x, t)) / C(t): the distribution function of U | U <= t.
 
@@ -693,13 +712,6 @@ def truncated_cdf(model, t, x):
     pts, squeeze = _unit_points(x, model.d)
     out = np.atleast_1d(model.cdf(np.minimum(pts, tp.t))) / tp.c_of_t
     return float(out[0]) if squeeze else out
-
-
-def nested_biv_margin(tc, s1, j1, s2, j2, u1, u2):
-    """Bivariate margin of a truncated nested copula (see NestedTruncation)."""
-    if not isinstance(tc, NestedTruncation):
-        raise TypeError("nested_biv_margin expects a NestedTruncation")
-    return tc.biv_margin(s1, j1, s2, j2, u1, u2)
 
 
 def ev_scaling_check(model, t, alpha, grid):

@@ -510,6 +510,11 @@ class TiltedGenerator(Generator):
     def _frailty(self, h, rng, n):
         return self.base._frailty(self.h + h, rng, n)
 
+    def _tail_pair(self, alpha=1.0):
+        # any positive tilt kills the upper tail; the lower one survives
+        lam_l, lam_u = self.base._tail_pair(alpha)
+        return lam_l, (lam_u if self.h == 0.0 else 0.0)
+
     def __repr__(self):
         return f"TiltedGenerator({self.base!r}, h={self.h!r})"
 
@@ -585,7 +590,15 @@ class OuterPowerGenerator(Generator):
         # tilt the mixing variable by h^alpha, then draw a stable factor tilted
         # by h V^(1/alpha); together they realize psi_op(t + h)/psi_op(h) exactly.
         a = self.alpha
-        root = np.power(self.base._frailty(h**a, rng, n), 1.0 / a)
+        with np.errstate(over="ignore"):
+            root = np.power(self.base._frailty(h**a, rng, n), 1.0 / a)
+        if not np.all(np.isfinite(root)):
+            # psi_op stays far from 1 near 0 for small alpha, so no finite
+            # stand-in for an overflowed factor is exact
+            raise OverflowError(
+                f"frailty of {self!r} overflows: the base frailty to the power "
+                f"1/alpha = {1.0 / a!r} is not finite in float64"
+            )
         return root * sample_tilted_stable(a, h * root, rng, size=n)
 
     def _tail_pair(self, alpha=1.0):

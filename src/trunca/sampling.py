@@ -235,7 +235,7 @@ def sample_truncated(tc, n, rng):
         raise TypeError("sample_truncated expects a TruncatedCopula")
     n = int(n)
     if tc.route == "tilted-frailty":
-        sm = sample_archimedean(tc.tilted, tc.dim, n, rng)
+        sm = sample_archimedean(tc.tilted, tc.d, n, rng)
     elif tc.route == "oracle":
         raw = oracle_sample(tc.source, tc.point, n, rng)
         sm = transform_margins(raw, tc.source, tc.point)

@@ -23,7 +23,6 @@ from trunca import (
     ev_scaling_check,
     generator,
     kendall_dist_truncated,
-    nested_biv_margin,
     oracle_sample,
     rng_stream,
     sample_frailty,
@@ -34,7 +33,6 @@ from trunca import (
     tail_dep_tilted,
     transform_margins,
     truncate_general,
-    truncate_nested,
     truncated_cdf,
 )
 
@@ -251,7 +249,7 @@ def test_c07_nested_truncation():
         [(generator("clayton", 2.0), 1), (generator("clayton", 6.0), 2)],
     )
     t = np.array([0.2, 0.5, 0.5])
-    tc = truncate_nested(m, t)
+    tc = truncate_general(m, t)
 
     gr = np.linspace(0.004, 0.996, 250)
     for j in range(3):
@@ -262,7 +260,7 @@ def test_c07_nested_truncation():
     rng = np.random.default_rng(107)
     u1 = rng.random(400)
     u2 = rng.random(400)
-    cross = nested_biv_margin(tc, 0, 0, 1, 1, u1, u2)
+    cross = tc.biv_margin(0, 0, 1, 1, u1, u2)
     tilted = tc._tilted_root
     direct = np.asarray(tilted.psi(np.asarray(tilted.psi_inv(u1)) + np.asarray(tilted.psi_inv(u2))))
     assert np.max(np.abs(cross - direct)) <= 1e-10

@@ -67,6 +67,16 @@ class TestTailDepTilted:
             assert abs(a.lambda_lower - n.lambda_lower) <= 1e-4
             assert abs(a.lambda_upper - n.lambda_upper) <= 1e-4
             assert n.method == "numeric-limit"
+            if n.converged:
+                assert abs(a.lambda_lower - n.lambda_lower) <= 1e-5
+                assert abs(a.lambda_upper - n.lambda_upper) <= 1e-5
+        # Gumbel(2) upper: successive Aitken values agree to 1.1e-5, error 1.2e-6
+        assert tail_dep_tilted(generator("gumbel", 2.0), 0.0, method="numeric").converged
+        # outer-power Gumbel(2, 0.6) upper: they differ by 4.5e-3, and so does the value
+        g = generator("gumbel", 2.0, outer_alpha=0.6)
+        n = tail_dep_tilted(g, 0.0, method="numeric")
+        assert not n.converged
+        assert abs(n.lambda_upper - tail_dep_tilted(g, 0.0).lambda_upper) > 1e-5
 
     def test_tilted_generator_input_folds(self):
         rep = tail_dep_tilted(generator("gumbel", 2.0).tilt(1.0))
@@ -139,6 +149,25 @@ class TestModelTailDep:
         ll, lu = model_tail_dep(survival(ArchimedeanCopula(generator("gumbel", 2.0), 2)))
         assert ll == pytest.approx(2.0 - np.sqrt(2.0))
         assert lu == 0.0
+
+    def test_tilted_truncation_model(self):
+        # the model of a tilted truncation: lower tail kept, upper tail gone
+        for fam, th, t in (("clayton", 2.0, [0.5, 0.5]), ("gumbel", 2.0, [0.7, 0.6])):
+            m = ArchimedeanCopula(generator(fam, th), 2)
+            tc = truncate_general(m, t)
+            rep = tail_dep_tilted(tc.tilted)
+            assert model_tail_dep(tc.model) == (rep.lambda_lower, 0.0)
+            assert model_tail_dep(tc.model)[0] == model_tail_dep(m)[0]
+        tc = truncate_general(ArchimedeanCopula(generator("gumbel", 2.0), 2), [1.0, 1.0])
+        assert model_tail_dep(tc.model)[1] == pytest.approx(2.0 - np.sqrt(2.0))
+
+    def test_exchangeable(self):
+        assert MarshallOlkinCopula(0.4, 0.4).exchangeable
+        assert not MarshallOlkinCopula(0.2, 0.7).exchangeable
+        assert survival(MarshallOlkinCopula(0.4, 0.4)).exchangeable
+        assert not survival(MarshallOlkinCopula(0.2, 0.7)).exchangeable
+        assert ArchimedeanCopula(generator("joe", 2.0), 3).exchangeable
+        assert model_tail_dep(survival(MarshallOlkinCopula(0.2, 0.7))) == (0.2, 0.0)
 
     def test_unsupported(self):
         m = NestedArchimedeanCopula(

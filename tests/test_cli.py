@@ -164,6 +164,26 @@ def test_out_of_range_flag_is_config_error(tmp_path, model_file, argv, capsys):
     assert not out.exists()
 
 
+CLAYTON_4D = {**CLAYTON, "d": 4}
+
+
+# requests the command has no analytic answer for, caught before sampling
+@pytest.mark.parametrize(
+    "spec, argv",
+    [
+        (MO, ["taildep", "--t", "0.5,0.5"]),
+        (MO, ["kendall", "--t", "0.5,0.5", "--u", "0.5"]),
+        (CLAYTON_4D, ["kendall", "--t", "0.5,0.5,0.5,0.5", "--u", "0.5"]),
+    ],
+    ids=["taildep-mo", "kendall-u-mo", "kendall-u-4d"],
+)
+def test_unsupported_request_is_config_error(tmp_path, model_file, spec, argv, capsys):
+    out = tmp_path / "out.json"
+    assert main([argv[0], "--model", model_file(spec), *argv[1:], "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 # flags that cdf and truncate-eval never read
 @pytest.mark.parametrize(
     "argv",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from trunca import (
@@ -18,7 +20,6 @@ from trunca import (
     box_mass,
     ev_scaling_check,
     generator,
-    nested_biv_margin,
     oracle_sample,
     pseudo_observations,
     rng_stream,
@@ -28,8 +29,6 @@ from trunca import (
     survival,
     transform_margins,
     truncate_general,
-    truncate_mo,
-    truncate_nested,
     truncated_cdf,
 )
 
@@ -321,7 +320,7 @@ class TestNested:
 
     def test_univariate_margins(self):
         m, t = self.make()
-        tc = truncate_nested(m, t)
+        tc = truncate_general(m, t)
         gr = np.linspace(0.01, 0.99, 33)
         for j in range(3):
             pts = np.ones((gr.size, 3))
@@ -335,7 +334,7 @@ class TestNested:
         )
         t = np.array([0.2, 0.5, 0.5])
         flat = truncate_general(ArchimedeanCopula(generator("clayton", 2.0), 3), t)
-        tc = truncate_nested(m, t)
+        tc = truncate_general(m, t)
         rng = np.random.default_rng(11)
         u = rng.random((300, 3))
         assert np.max(np.abs(tc.cdf(u) - flat.cdf(u))) <= 1e-10
@@ -346,7 +345,7 @@ class TestNested:
             [(generator("clayton", 2.0), 2), (generator("gumbel", 3.0), 1)],
         )
         t = np.array([0.5, 0.6, 0.9])
-        tc = truncate_nested(m, t)
+        tc = truncate_general(m, t)
         assert isinstance(tc, ProductTruncation)
         block = truncate_general(ArchimedeanCopula(generator("clayton", 2.0), 2), t[:2])
         rng = np.random.default_rng(12)
@@ -358,12 +357,12 @@ class TestNested:
 
     def test_cross_sector_margin_is_tilted_root(self):
         m, t = self.make()
-        tc = truncate_nested(m, t)
+        tc = truncate_general(m, t)
         assert isinstance(tc, NestedTruncation)
         rng = np.random.default_rng(13)
         u1 = rng.random(150)
         u2 = rng.random(150)
-        got = nested_biv_margin(tc, 0, 0, 1, 1, u1, u2)
+        got = tc.biv_margin(0, 0, 1, 1, u1, u2)
         pts = np.ones((150, 3))
         pts[:, 0] = u1
         pts[:, 2] = u2
@@ -371,28 +370,28 @@ class TestNested:
 
     def test_margin_uniform_edge(self):
         m, t = self.make()
-        tc = truncate_nested(m, t)
+        tc = truncate_general(m, t)
         u2 = np.linspace(0.05, 0.95, 10)
-        got = nested_biv_margin(tc, 0, 0, 1, 0, np.ones(10), u2)
+        got = tc.biv_margin(0, 0, 1, 0, np.ones(10), u2)
         assert_allclose(got, u2, atol=1e-12)
 
     def test_same_sector_margin_not_pair_truncation(self):
         m, t = self.make()
-        tc = truncate_nested(m, t)
+        tc = truncate_general(m, t)
         u = np.linspace(0.1, 0.9, 12)
         U1, U2 = np.meshgrid(u, u)
-        same = nested_biv_margin(tc, 1, 0, 1, 1, U1.ravel(), U2.ravel())
+        same = tc.biv_margin(1, 0, 1, 1, U1.ravel(), U2.ravel())
         pair = truncate_general(ArchimedeanCopula(generator("clayton", 6.0), 2), t[1:])
         pv = np.atleast_1d(pair.cdf(np.column_stack([U1.ravel(), U2.ravel()])))
         assert np.max(np.abs(same - pv)) > 1e-6
 
     def test_margin_index_validation(self):
         m, t = self.make()
-        tc = truncate_nested(m, t)
+        tc = truncate_general(m, t)
         with pytest.raises(IndexError):
-            nested_biv_margin(tc, 0, 1, 1, 0, 0.5, 0.5)
+            tc.biv_margin(0, 1, 1, 0, 0.5, 0.5)
         with pytest.raises(ValueError):
-            nested_biv_margin(tc, 1, 0, 1, 0, 0.5, 0.5)
+            tc.biv_margin(1, 0, 1, 0, 0.5, 0.5)
 
     def test_outer_power_stack_matches_explicit_form(self):
         base = generator("clayton", 1.2)
@@ -403,7 +402,7 @@ class TestNested:
         )
         t = np.array([0.5, 0.6, 0.7, 0.5])
         tp = TruncationPoint.make(m, t)
-        tc = truncate_nested(m, tp)
+        tc = truncate_general(m, tp)
         c = tp.c_of_t
         c1 = float(m._sector_cdf(0, t[None, :2])[0])
         c2 = float(m._sector_cdf(1, t[None, 2:])[0])
@@ -434,7 +433,7 @@ class TestMarshallOlkin:
 
     def test_identity_at_one(self):
         mo = MarshallOlkinCopula(0.2, 0.7)
-        tc = truncate_mo(mo, [1.0, 1.0])
+        tc = truncate_general(mo, [1.0, 1.0])
         rng = np.random.default_rng(15)
         u = rng.random((300, 2))
         assert np.max(np.abs(tc.cdf(u) - mo.cdf(u))) <= 1e-14
@@ -443,7 +442,7 @@ class TestMarshallOlkin:
         mo = MarshallOlkinCopula(0.2, 0.7)
         t = np.array([0.6, 0.9])
         assert 0.9**0.7 > 0.6**0.2
-        tc = truncate_mo(mo, t)
+        tc = truncate_general(mo, t)
         assert tc.case == 2
         tb = truncate_general(mo, t, method="bisect")
         rng = np.random.default_rng(16)
@@ -454,7 +453,7 @@ class TestMarshallOlkin:
     def test_case1_against_numeric(self):
         mo = MarshallOlkinCopula(0.2, 0.7)
         t = np.array([0.9, 0.6])
-        tc = truncate_mo(mo, t)
+        tc = truncate_general(mo, t)
         assert tc.case == 1
         tb = truncate_general(mo, t, method="bisect")
         rng = np.random.default_rng(17)
@@ -463,7 +462,7 @@ class TestMarshallOlkin:
 
     def test_equal_threshold_limit_independence(self):
         mo = MarshallOlkinCopula(0.2, 0.7)
-        tc = truncate_mo(mo, [1e-4, 1e-4])
+        tc = truncate_general(mo, [1e-4, 1e-4])
         u = np.linspace(0.05, 0.95, 19)
         U1, U2 = np.meshgrid(u, u)
         pts = np.column_stack([U1.ravel(), U2.ravel()])
@@ -471,7 +470,7 @@ class TestMarshallOlkin:
 
     def test_singular_curve_mass(self):
         mo = MarshallOlkinCopula(0.2, 0.7)
-        tc = truncate_mo(mo, [0.6, 0.9])
+        tc = truncate_general(mo, [0.6, 0.9])
         d = 0.003
         for u1 in (0.3, 0.5, 0.7):
             u2 = float(tc.singular_curve(np.asarray(u1)))
@@ -481,7 +480,7 @@ class TestMarshallOlkin:
 
     def test_singular_curve_range(self):
         mo = MarshallOlkinCopula(0.2, 0.7)
-        tc = truncate_mo(mo, [0.9, 0.6])  # case 1: curve ends at the breakpoint
+        tc = truncate_general(mo, [0.9, 0.6])  # case 1: curve ends at the breakpoint
         assert np.isnan(tc.singular_curve(np.asarray(tc.breakpoint + 0.05)))
         u2 = tc.singular_curve(np.asarray(tc.breakpoint))
         assert u2 == pytest.approx(1.0, abs=1e-10)
@@ -592,3 +591,56 @@ def test_mo_truncation_type():
 def test_survival_truncation_is_general():
     sg = survival(ArchimedeanCopula(generator("gumbel", 2.0), 2))
     assert isinstance(truncate_general(sg, [0.5, 0.8]), GeneralTruncation)
+
+
+ZOO = model_zoo()
+FAMILY_THETAS = {
+    "clayton": st.floats(0.1, 10.0),
+    "amh": st.floats(0.0, 0.95),
+    "frank": st.floats(0.1, 30.0),
+    "gumbel": st.floats(1.0, 5.0),
+    "joe": st.floats(1.0, 5.0),
+}
+
+
+def _unit_vectors(d, lo):
+    return st.lists(st.floats(lo, 1.0), min_size=d, max_size=d).map(np.asarray)
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+@settings(max_examples=3)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_truncations_compose(name, data, seed):
+    # U_t <= s exactly when X <= t* with t*_j = F_{t,j}^{-1}(s_j)
+    m = ZOO[name][0]
+    t = data.draw(_unit_vectors(m.d, 0.3), label="t")
+    s = data.draw(_unit_vectors(m.d, 0.3), label="s")
+    tc = truncate_general(m, t)
+    composed = truncate_general(tc, s)
+    t_star = [m.margin_section_inv(j, tc.point.c_of_t * s[j], tc.point.t) for j in range(m.d)]
+    direct = truncate_general(m, t_star)
+    assert type(composed) is type(direct)
+    assert composed.source is m
+    pts = np.random.default_rng(seed).random((20, m.d))
+    assert np.array_equal(composed.cdf(pts), direct.cdf(pts))
+    bisected = truncate_general(tc, s, method="bisect")
+    assert np.max(np.abs(composed.cdf(pts) - bisected.cdf(pts))) <= 1e-10
+    sm = sample_truncated(composed, 50, rng_stream(seed))
+    assert sm.meta["method"] == direct.route and sm.meta["form"] == direct.form
+
+
+@settings(max_examples=50)
+@given(
+    fam=st.sampled_from(sorted(FAMILY_THETAS)),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_equals_bisection(fam, data, seed):
+    theta = data.draw(FAMILY_THETAS[fam], label="theta")
+    alpha = data.draw(st.none() | st.floats(0.3, 1.0), label="outer_alpha")
+    d = data.draw(st.integers(2, 3), label="d")
+    t = data.draw(_unit_vectors(d, 0.05), label="t")
+    m = ArchimedeanCopula(generator(fam, theta, outer_alpha=alpha), d)
+    pts = np.random.default_rng(seed).random((20, d))
+    closed = truncate_general(m, t).cdf(pts)
+    assert np.max(np.abs(closed - truncate_general(m, t, method="bisect").cdf(pts))) <= 1e-10

@@ -325,6 +325,12 @@ class TestFrailtyDispatch:
             with pytest.raises(TypeError, match="no frailty sampler for generator type Bare"):
                 sample_frailty(g, 0.3, rng_stream(27), size=4)
 
+    def test_outer_power_overflow_raises(self):
+        # Sibuya(0.1) draws past 1e31 overflow V^(1/alpha) = V^10; psi_op stays
+        # far from 1 near 0, so no finite stand-in would be exact
+        with pytest.raises(OverflowError, match=r"OuterPowerGenerator\(JoeGenerator.*1/alpha = 10"):
+            sample_frailty(generator("joe", 10.0, outer_alpha=0.1), 0.0, rng_stream(1), size=20000)
+
     def test_determinism(self):
         a = np.asarray(sample_frailty(generator("joe", 2.0), 0.7, rng_stream(25), size=1000))
         b = np.asarray(sample_frailty(generator("joe", 2.0), 0.7, rng_stream(25), size=1000))
