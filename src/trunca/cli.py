@@ -273,9 +273,17 @@ def cmd_taildep(args):
 def cmd_kendall(args):
     if args.n < 2:
         raise ConfigError("kendall needs --n of at least 2")
+    us = None
+    if args.u:
+        try:
+            us = np.asarray([float(tok) for text in args.u for tok in text.split(",")])
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse --u: {exc}") from None
+        if not np.all((us >= 0.0) & (us <= 1.0)):
+            raise ConfigError("--u values must lie in [0, 1]")
     model = _load(args)
     tp = _truncation(args, model)
-    if args.u and not (isinstance(model, ArchimedeanCopula) and model.d in (2, 3)):
+    if us is not None and not (isinstance(model, ArchimedeanCopula) and model.d in (2, 3)):
         raise ConfigError(
             "--u (the Kendall distribution) needs an Archimedean model with d in {2, 3}"
         )
@@ -287,8 +295,7 @@ def cmd_kendall(args):
         for j in range(i + 1, d):
             tau[i, j] = tau[j, i] = empirical_kendall_tau(sm, i, j)
     payload = {"schema": SCHEMA, "t": tp.t.tolist(), "n": sm.n, "tau": tau.tolist()}
-    if args.u:
-        us = np.asarray([float(tok) for text in args.u for tok in text.split(",")])
+    if us is not None:
         payload["kendall_dist"] = {
             "u": us.tolist(),
             "K": np.atleast_1d(

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.stats import kendalltau, kstest
 
 from trunca import (
@@ -221,6 +225,18 @@ class TestKendallDistribution:
         with pytest.raises(ValueError):
             kendall_dist_truncated(generator("clayton", 2.0), [0.5, 0.5, 0.5, 0.5], 0.5)
 
+    @pytest.mark.parametrize("family, theta", [("gumbel", 2.0), ("joe", 2.5)])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_untruncated_top_is_one(self, family, theta, d):
+        # psi'(0) is infinite for Gumbel and Joe; the vanishing term must not
+        # turn K(1) into 0 * inf
+        g = generator(family, theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kendall_dist_truncated(g, [1.0] * d, 1.0) == 1.0
+            k = kendall_dist_truncated(g, [1.0] * d, np.array([0.5, 1.0]))
+        assert 0.0 < k[0] < 1.0 and k[1] == 1.0
+
 
 class TestEmpiricalTailDep:
     def test_comonotone(self):
@@ -271,24 +287,52 @@ class TestEmpiricalKendallTau:
         got = empirical_kendall_tau(np.column_stack([x, y]))
         assert got == pytest.approx(kendalltau(x, y).statistic, abs=1e-12)
 
-    @pytest.mark.parametrize("ties", [False, True])
-    def test_matches_pair_count(self, ties):
+    @staticmethod
+    def pair_count_tau(x, y):
         # tau-b from an O(n^2) count of concordant and discordant pairs,
         # independent of scipy
+        sx = np.sign(x[:, None] - x[None, :])
+        sy = np.sign(y[:, None] - y[None, :])
+        upper = np.triu_indices(x.size, k=1)
+        prod = (sx * sy)[upper]
+        pairs_x = np.count_nonzero(sx[upper])
+        pairs_y = np.count_nonzero(sy[upper])
+        return prod.sum() / np.sqrt(float(pairs_x) * pairs_y)
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_matches_pair_count(self, ties):
         rng = rng_stream(38)
         x = rng.random(300)
         y = 0.5 * x + 0.5 * rng.random(300)
         if ties:
             x, y = np.round(x * 8), np.round(y * 5)
-        sx = np.sign(x[:, None] - x[None, :])
-        sy = np.sign(y[:, None] - y[None, :])
-        upper = np.triu_indices(300, k=1)
-        prod = (sx * sy)[upper]
-        pairs_x = np.count_nonzero(sx[upper])
-        pairs_y = np.count_nonzero(sy[upper])
-        ref = prod.sum() / np.sqrt(float(pairs_x) * pairs_y)
         got = empirical_kendall_tau(np.column_stack([x, y]))
-        assert abs(got - ref) <= 1e-12
+        assert abs(got - self.pair_count_tau(x, y)) <= 1e-12
+
+    @given(
+        n=st.integers(2, 300),
+        seed=st.integers(0, 2**32 - 1),
+        levels=st.tuples(*[st.sampled_from([2, 3, 8, None])] * 2),
+        link=st.sampled_from(["mixed", "equal", "reversed"]),
+    )
+    def test_pair_count_property(self, n, seed, levels, link):
+        # n spans the merge's power-of-two padding; rounding to k levels makes ties
+        rng = rng_stream(seed)
+        x = rng.random(n)
+        y = {"mixed": 0.5 * x + 0.5 * rng.random(n), "equal": x, "reversed": 1.0 - x}[link]
+        x, y = [v if k is None else np.round(v * k) for v, k in zip((x, y), levels)]
+        assume(np.any(x != x[0]) and np.any(y != y[0]))
+        got = empirical_kendall_tau(np.column_stack([x, y]))
+        assert abs(got - self.pair_count_tau(x, y)) <= 1e-12
+        assert empirical_kendall_tau(np.column_stack([x, x])) == 1.0
+        assert empirical_kendall_tau(np.column_stack([x, -x])) == -1.0
+
+    def test_nan_propagates(self):
+        x = rng_stream(39).random(50)
+        y = x.copy()
+        y[7] = np.nan
+        assert np.isnan(empirical_kendall_tau(np.column_stack([x, y])))
+        assert np.isnan(empirical_kendall_tau(np.column_stack([y, x])))
 
     def test_clayton_target(self):
         m = ArchimedeanCopula(generator("clayton", 2.0), 2)

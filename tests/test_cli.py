@@ -155,6 +155,8 @@ def test_zero_rows_is_config_error(tmp_path, model_file, command):
         ["taildep", "--t", "0.5,0.5", "--q", "0.7"],
         ["taildep", "--t", "0.5,0.5", "--q", "0.05", "--n", "500"],
         ["kendall", "--t", "0.5,0.5", "--n", "1"],
+        ["kendall", "--t", "0.5,0.5", "--n", "100", "--u", "1.5"],
+        ["kendall", "--t", "0.5,0.5", "--n", "100", "--u", "abc"],
     ],
 )
 def test_out_of_range_flag_is_config_error(tmp_path, model_file, argv, capsys):
@@ -224,9 +226,18 @@ def test_lazy_scipy_commands_in_fresh_process(tmp_path, model_file):
         ["kendall", "--model", model_file(CLAYTON), "--t", "0.5,0.5", "--n", "500", "--out", "k.json"],
         ["taildep", "--model", joe, "--t", "0.5,0.5", "--n", "2000", "--q", "0.05", "--out", "td.json"],
     ]
+    loaded = {}
     for argv in runs:
-        proc = _fresh_python(f"import sys, trunca.cli; sys.exit(trunca.cli.main({argv!r}))", tmp_path)
+        proc = _fresh_python(
+            f"import sys, trunca.cli; rc = trunca.cli.main({argv!r}); "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules)); "
+            "sys.exit(rc)",
+            tmp_path,
+        )
         assert proc.returncode == 0, proc.stderr
+        loaded[argv[0]] = proc.stdout.strip()
+    # kendall needs no scipy at all; the Joe taildep may load scipy.special
+    assert loaded["kendall"] == "[]"
     assert -1.0 <= json.loads((tmp_path / "k.json").read_text())["tau"][0][1] <= 1.0
     assert "empirical" in json.loads((tmp_path / "td.json").read_text())
 
