@@ -146,6 +146,13 @@ def _parse_vector(text, d, what):
     return vec
 
 
+def _unit_rows(args, d):
+    pts = np.vstack([_parse_vector(u, d, "--u") for u in args.u])
+    if not np.all((pts >= 0.0) & (pts <= 1.0)):
+        raise ConfigError("--u values must lie in [0, 1]")
+    return pts
+
+
 def _load(args):
     path = Path(args.model)
     if not path.exists():
@@ -188,6 +195,8 @@ def _emit_json(payload, out):
 
 
 def cmd_sample(args):
+    if args.n < 2 and not args.raw:
+        raise ConfigError("ranked output needs --n of at least 2; --raw allows 1")
     model = _load(args)
     tp = _truncation(args, model)
     if not args.out:
@@ -214,7 +223,7 @@ def cmd_sample(args):
 
 def cmd_cdf(args):
     model = _load(args)
-    pts = np.vstack([_parse_vector(u, model.d, "--u") for u in args.u])
+    pts = _unit_rows(args, model.d)
     vals = np.atleast_1d(model.cdf(pts))
     _emit_json(
         {"schema": SCHEMA, "points": pts.tolist(), "values": vals.tolist()}, args.out
@@ -226,7 +235,7 @@ def cmd_truncate_eval(args):
     model = _load(args)
     tp = _truncation(args, model)
     tc = truncate_general(model, tp)
-    pts = np.vstack([_parse_vector(u, model.d, "--u") for u in args.u])
+    pts = _unit_rows(args, model.d)
     vals = np.atleast_1d(tc.cdf(pts))
     _emit_json(
         {
@@ -338,6 +347,8 @@ def cmd_oracle_compare(args):
 def cmd_figure_data(args):
     from .modelspec import model_from_dict
 
+    if args.n < 2:
+        raise ConfigError("ranked output needs --n of at least 2")
     spec, points = FIGURES[args.figure]
     model = model_from_dict(spec)
     outdir = Path(args.out)

@@ -148,6 +148,30 @@ def test_zero_rows_is_config_error(tmp_path, model_file, command):
     assert main(argv) == 2
 
 
+# pseudo-observations rank each column, so one row is refused before the
+# model file is even read
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--model", "missing.json", "--t", "0.5,0.5"],
+        ["figure-data", "--figure", "mo"],
+    ],
+    ids=["sample", "figure-data"],
+)
+def test_ranked_output_needs_two_rows(tmp_path, argv, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--n", "1", "--out", str(out)]) == 2
+    assert "at least 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_raw_sample_of_one_row(tmp_path, model_file):
+    out = tmp_path / "s.csv"
+    argv = ["sample", "--model", model_file(CLAYTON), "--t", "0.5,0.5", "--n", "1", "--raw"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2).shape == (1, 2)
+
+
 # flag values outside what the command can use, caught before sampling
 @pytest.mark.parametrize(
     "argv",
@@ -157,6 +181,8 @@ def test_zero_rows_is_config_error(tmp_path, model_file, command):
         ["kendall", "--t", "0.5,0.5", "--n", "1"],
         ["kendall", "--t", "0.5,0.5", "--n", "100", "--u", "1.5"],
         ["kendall", "--t", "0.5,0.5", "--n", "100", "--u", "abc"],
+        ["cdf", "--u", "1.5,0.5"],
+        ["truncate-eval", "--t", "0.5,0.5", "--u", "0.5,-0.2"],
     ],
 )
 def test_out_of_range_flag_is_config_error(tmp_path, model_file, argv, capsys):

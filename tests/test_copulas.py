@@ -31,6 +31,7 @@ from trunca import (
     truncate_general,
     truncated_cdf,
 )
+from trunca.copulas import BISECT_WIDTH, CopulaModel
 
 
 def model_zoo():
@@ -644,3 +645,39 @@ def test_closed_form_equals_bisection(fam, data, seed):
     pts = np.random.default_rng(seed).random((20, d))
     closed = truncate_general(m, t).cdf(pts)
     assert np.max(np.abs(closed - truncate_general(m, t, method="bisect").cdf(pts))) <= 1e-10
+
+
+@settings(max_examples=60)
+@given(name=st.sampled_from(sorted(ZOO)), data=st.data())
+def test_numeric_section_inverse_brackets(name, data):
+    # the numeric inverse returns the left end of a bracket no wider than
+    # BISECT_WIDTH: section(x) < y <= section(x + BISECT_WIDTH)
+    m = ZOO[name][0]
+    j = data.draw(st.integers(0, m.d - 1), label="j")
+    t = data.draw(_unit_vectors(m.d, 0.05), label="t")
+    top = m.margin_section(j, t[j], t)
+    share = data.draw(st.lists(st.floats(0.0, 1.0), max_size=6), label="y / top")
+    y = top * np.array([0.0, 1.0, *share])
+    x = m.margin_section_inv(j, y, t, method="bisect")
+    assert np.all((x == 0.0) | (m.margin_section(j, x, t) < y))
+    assert np.all(m.margin_section(j, np.minimum(x + BISECT_WIDTH, t[j]), t) >= y)
+
+
+def test_numeric_inverse_evaluation_count(monkeypatch):
+    calls = []
+    section = CopulaModel.margin_section
+
+    def counted(self, j, x, t):
+        calls.append(j)
+        return section(self, j, x, t)
+
+    monkeypatch.setattr(CopulaModel, "margin_section", counted)
+    sg, t = ZOO["survival_gumbel"]
+    truncate_general(sg, t).cdf(np.random.default_rng(5).random((2000, 2)))
+    # fixed-width halving to BISECT_WIDTH takes 44 evaluations per coordinate
+    assert calls.count(0) <= 16 and calls.count(1) <= 16
+    # a section flat beyond 0.4 defeats interpolation: the bisection bound holds
+    calls.clear()
+    t = np.array([0.4, 0.9])
+    ComonotoneCopula(2).margin_section_inv(1, np.array([0.0, 0.2, 0.4]), t, method="bisect")
+    assert len(calls) <= np.ceil(np.log2(t[1] / BISECT_WIDTH)) + 3
