@@ -177,7 +177,9 @@ def _truncation(args, model):
 def _sample(model, tp, args, rng):
     tc = truncate_general(model, tp)
     if args.method == "oracle":
-        return transform_margins(oracle_sample(model, tp, args.n, rng), model, tp)
+        sm = transform_margins(oracle_sample(model, tp, args.n, rng), model, tp)
+        sm.meta["form"] = tc.form
+        return sm
     if args.method == "tilted" and tc.route == "oracle":
         raise ConfigError(
             f"model of kind {model.kind!r} has no tilted/closed sampling path; "

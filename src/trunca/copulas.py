@@ -171,9 +171,21 @@ def _itp_section_inv(model, j, y, t, top):
     return lo
 
 
+def _columnwise(op, block):
+    """``op.reduce(block, axis=-1)`` one column at a time, in column order.
+
+    Several times faster than numpy's row-by-row reduction of a short last
+    axis, and bitwise equal to it up to 7 columns (numpy's sum unrolls from 8).
+    """
+    out = block[..., 0].copy()
+    for j in range(1, block.shape[-1]):
+        op(out, block[..., j], out=out)
+    return out
+
+
 def _psi_sum(g, block):
     """psi(sum_j psi_inv(x_j)) over the last axis of ``block``."""
-    return g.psi(np.asarray(g.psi_inv(block)).sum(axis=-1))
+    return g.psi(_columnwise(np.add, np.asarray(g.psi_inv(block))))
 
 
 def _shift(g, y, shift):
@@ -195,7 +207,7 @@ class IndependenceCopula(CopulaModel):
         self.d = d
 
     def _cdf(self, pts):
-        return pts.prod(axis=1)
+        return _columnwise(np.multiply, pts)
 
     def _tail_dep(self):
         return 0.0, 0.0
@@ -221,7 +233,7 @@ class ComonotoneCopula(CopulaModel):
         self.d = d
 
     def _cdf(self, pts):
-        return pts.min(axis=1)
+        return _columnwise(np.minimum, pts)
 
     def _tail_dep(self):
         return 1.0, 1.0
@@ -447,7 +459,7 @@ class SurvivalCopula(CopulaModel):
 
     def _cdf(self, pts):
         v = np.atleast_1d(self.inner.cdf(1.0 - pts))
-        return np.clip(pts.sum(axis=1) - 1.0 + v, 0.0, 1.0)
+        return np.clip(_columnwise(np.add, pts) - 1.0 + v, 0.0, 1.0)
 
     def _tail_dep(self):
         ll, lu = self.inner._tail_dep()
@@ -607,7 +619,7 @@ class NestedTruncation(TruncatedCopula):
         g = self.source.sectors[s][0]
         w = _shift(root, self.point.c_of_t * block, self.a_s[s])
         with np.errstate(invalid="ignore"):
-            arg = np.asarray(g.psi_inv(w)).sum(axis=-1) - (block.shape[-1] - 1) * self.b_s[s]
+            arg = _columnwise(np.add, np.asarray(g.psi_inv(w))) - (block.shape[-1] - 1) * self.b_s[s]
             return np.asarray(root.psi_inv(np.asarray(g.psi(np.maximum(arg, 0.0)))))
 
     def _cdf(self, pts):

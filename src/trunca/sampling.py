@@ -76,15 +76,20 @@ class SampleMatrix:
         return self.data.shape[1]
 
 
+def _rows_wanted(n):
+    n = int(n)
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return n
+
+
 def sample_archimedean(gen, d, n, rng):
     """Frailty construction: U_j = psi(E_j / V), E_j iid Exp(1), V ~ LS^-1[psi].
 
     ``gen`` may be tilted or outer-power; the matching (tilted) frailty is
     drawn per row.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _rows_wanted(n)
     v = np.asarray(sample_frailty(gen, 0.0, rng, size=n), dtype=float)
     e = rng.standard_exponential((n, int(d)))
     u = np.asarray(gen.psi(e / v[:, None]))
@@ -165,20 +170,23 @@ def oracle_sample(model, t, n, rng, max_tries=None):
 
     Returns conditional rows on the *original* scale (inside [0, t]); map
     them through :func:`transform_margins` to reach the truncated copula
-    scale.  Expected proposals per kept row are 1/C(t); the default budget is
+    scale.  Each pass proposes min(1.25 need, need + 3 sqrt(need)) / C(t)
+    rows (clipped to [1024, 4e6]) for the ``need`` rows still missing, about
+    (1 + 3/sqrt(n)) / C(t) proposals per kept row; the default budget is
     100 n / C(t) proposals, after which a diagnostic error reports the
     observed acceptance rate against C(t).
     """
-    n = int(n)
+    n = _rows_wanted(n)
     tp = TruncationPoint.make(model, t)
     if max_tries is None:
         max_tries = int(np.ceil(100.0 * n / tp.c_of_t))
-    batch = int(np.clip(np.ceil(1.25 * n / tp.c_of_t), 1024, 4_000_000))
     chunks = []
     kept = 0
     proposals = 0
     while kept < n:
-        b = min(batch, max_tries - proposals)
+        need = n - kept
+        batch = np.ceil(min(1.25 * need, need + 3.0 * np.sqrt(need)) / tp.c_of_t)
+        b = min(int(np.clip(batch, 1024, 4_000_000)), max_tries - proposals)
         if b <= 0:
             rate = kept / proposals if proposals else float("nan")
             raise SamplingError(
@@ -187,7 +195,7 @@ def oracle_sample(model, t, n, rng, max_tries=None):
                 f"C(t) = {tp.c_of_t:.4g})"
             )
         u = sample_model(model, b, rng)
-        ok = np.all(u <= tp.t, axis=1)
+        ok = _inside(u, tp.t)
         chunks.append(u[ok])
         kept += int(ok.sum())
         proposals += b
@@ -200,6 +208,14 @@ def oracle_sample(model, t, n, rng, max_tries=None):
         "c_of_t": tp.c_of_t,
     }
     return SampleMatrix(raw[:n], meta)
+
+
+def _inside(u, t):
+    """``np.all(u <= t, axis=1)`` by one ``&=`` per column, not per row."""
+    ok = u[:, 0] <= t[0]
+    for j in range(1, u.shape[1]):
+        ok &= u[:, j] <= t[j]
+    return ok
 
 
 def transform_margins(raw, model, t):
@@ -233,7 +249,7 @@ def sample_truncated(tc, n, rng):
     """
     if not isinstance(tc, TruncatedCopula):
         raise TypeError("sample_truncated expects a TruncatedCopula")
-    n = int(n)
+    n = _rows_wanted(n)
     if tc.route == "tilted-frailty":
         sm = sample_archimedean(tc.tilted, tc.d, n, rng)
     elif tc.route == "oracle":

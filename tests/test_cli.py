@@ -36,18 +36,21 @@ def model_file(tmp_path):
 
 class TestSample:
     def test_writes_csv_and_meta(self, tmp_path, model_file):
-        out = tmp_path / "s.csv"
-        rc = main(
-            ["sample", "--model", model_file(MO), "--t", "0.5,0.8", "--n", "5000",
-             "--seed", "42", "--out", str(out)]
-        )
-        assert rc == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "u1,u2"
-        assert len(lines) == 5001
-        meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
-        assert meta["seed"] == 42 and meta["t"] == [0.5, 0.8]
-        assert meta["model"]["kind"] == "marshall_olkin"
+        # Marshall-Olkin samples by the oracle under either method; both record the form
+        for method in ("auto", "oracle"):
+            out = tmp_path / f"{method}.csv"
+            rc = main(
+                ["sample", "--model", model_file(MO), "--t", "0.5,0.8", "--n", "5000",
+                 "--seed", "42", "--method", method, "--out", str(out)]
+            )
+            assert rc == 0
+            lines = out.read_text().splitlines()
+            assert lines[0] == "u1,u2"
+            assert len(lines) == 5001
+            meta = json.loads((tmp_path / f"{method}.csv.meta.json").read_text())
+            assert meta["seed"] == 42 and meta["t"] == [0.5, 0.8]
+            assert meta["model"]["kind"] == "marshall_olkin"
+            assert meta["method"] == "oracle" and meta["form"] == "marshall-olkin"
 
     def test_deterministic(self, tmp_path, model_file):
         spec = model_file(MO)

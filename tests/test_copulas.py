@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from trunca import (
@@ -31,7 +32,7 @@ from trunca import (
     truncate_general,
     truncated_cdf,
 )
-from trunca.copulas import BISECT_WIDTH, CopulaModel
+from trunca.copulas import BISECT_WIDTH, CopulaModel, _columnwise
 
 
 def model_zoo():
@@ -681,3 +682,22 @@ def test_numeric_inverse_evaluation_count(monkeypatch):
     t = np.array([0.4, 0.9])
     ComonotoneCopula(2).margin_section_inv(1, np.array([0.0, 0.2, 0.4]), t, method="bisect")
     assert len(calls) <= np.ceil(np.log2(t[1] / BISECT_WIDTH)) + 3
+
+
+def _blocks(lo, hi):
+    shapes = st.tuples(st.integers(1, 40), st.integers(2, 7))
+    return shapes.flatmap(lambda shape: hnp.arrays(np.float64, shape, elements=st.floats(lo, hi)))
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@settings(max_examples=200)
+@given(x=_blocks(-1e6, 1e6), u=_blocks(0.0, 1.0))
+def test_columnwise_reductions_are_numpy_reductions(x, u):
+    # bitwise, for up to 7 columns: numpy sums 8 or more in an unrolled order
+    assert np.array_equal(_bits(_columnwise(np.add, x)), _bits(x.sum(axis=-1)))
+    for block in (x, u):
+        assert np.array_equal(_bits(_columnwise(np.multiply, block)), _bits(block.prod(axis=1)))
+        assert np.array_equal(_bits(_columnwise(np.minimum, block)), _bits(block.min(axis=1)))

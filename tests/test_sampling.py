@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import kstest, rankdata
 
 from trunca import (
@@ -25,7 +28,7 @@ from trunca import (
     write_csv,
     write_meta,
 )
-from trunca.sampling import _CSV_BLOCK_ROWS
+from trunca.sampling import _CSV_BLOCK_ROWS, _inside
 
 
 def tau_se(n):
@@ -157,6 +160,36 @@ class TestOracle:
         se = np.sqrt(c * (1 - c) / sm.meta["proposals"])
         assert abs(sm.meta["accept_rate"] - c) <= 4 * se
 
+    def test_proposals_sized_to_missing_rows(self):
+        # one batch of (n + 3 sqrt(n)) / C(t) covers n rows about 99.9% of the time
+        m, n = MarshallOlkinCopula(0.3, 0.6), 50_000
+        sm = oracle_sample(m, [0.05 ** (1 / 1.7)] * 2, n, rng_stream(18))
+        c = sm.meta["c_of_t"]
+        assert c == pytest.approx(0.05, rel=1e-12)
+        assert sm.n == n
+        assert sm.meta["proposals"] <= np.ceil((n + 3.0 * np.sqrt(n)) / c)
+
+    def test_batches_past_the_cap(self):
+        # (n + 3 sqrt(n)) / C(t) is above the 4e6 proposals of one batch
+        m, n = MarshallOlkinCopula(0.3, 0.6), 12_000
+        t = np.array([0.0025 ** (1 / 1.7)] * 2)
+        sm = oracle_sample(m, t, n, rng_stream(19))
+        meta = sm.meta
+        assert meta["proposals"] > 4_000_000
+        assert sm.data.shape == (n, 2) and np.all(sm.data <= t) and np.all(sm.data >= 0.0)
+        assert meta["accepted"] >= n
+        c = meta["c_of_t"]
+        assert abs(meta["accept_rate"] - c) <= 4 * np.sqrt(c * (1 - c) / meta["proposals"])
+
+    @settings(max_examples=200)
+    @given(data=st.data(), n=st.integers(1, 40), d=st.integers(2, 7))
+    def test_columnwise_mask_is_np_all(self, data, n, d):
+        u = data.draw(hnp.arrays(np.float64, (n, d), elements=st.floats(0.0, 1.0)), label="u")
+        # thresholds from the rows themselves too, so ties u_j == t_j occur
+        t = data.draw(hnp.arrays(np.float64, d, elements=st.floats(0.0, 1.0) | st.sampled_from(u.ravel())),
+                      label="t")
+        assert np.array_equal(_inside(u, t), np.all(u <= t, axis=1))
+
     def test_budget_exhaustion_diagnostic(self):
         m = ArchimedeanCopula(generator("clayton", 2.0), 2)
         with pytest.raises(SamplingError, match="acceptance"):
@@ -215,6 +248,31 @@ class TestSampleTruncated:
         raw = oracle_sample(m, np.asarray(t), 100_000, rng_stream(16, stream=1))
         orc = transform_margins(raw, m, np.asarray(t))
         assert empirical_copula_distance(fast, orc) <= 0.01
+
+    @pytest.mark.parametrize(
+        "route,model,t",
+        [
+            pytest.param(route, model, t, id=route)
+            for route, model, t in [
+                ("tilted-frailty", ArchimedeanCopula(generator("clayton", 2.0), 2), [0.5, 0.5]),
+                ("product", NestedArchimedeanCopula(
+                    generator("independence"),
+                    [(generator("clayton", 2.0), 2), (generator("gumbel", 3.0), 1)]),
+                 [0.5, 0.6, 0.9]),
+                ("closed-model", IndependenceCopula(2), [0.3, 0.6]),
+                ("oracle", MarshallOlkinCopula(0.2, 0.7), [0.6, 0.9]),
+            ]
+        ],
+    )
+    def test_needs_one_row(self, route, model, t):
+        tc = truncate_general(model, t)
+        assert tc.route == route
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="need n >= 1"):
+                sample_truncated(tc, n, rng_stream(20))
+        if route == "oracle":
+            with pytest.raises(ValueError, match="need n >= 1"):
+                oracle_sample(model, t, 0, rng_stream(20))
 
     def test_marginal_uniformity(self):
         m = ArchimedeanCopula(generator("joe", 2.0), 2)
