@@ -20,7 +20,6 @@ import numpy as np
 
 from .copulas import ArchimedeanCopula, TruncationPoint
 from .frailty import rng_stream
-from .generators import TiltedGenerator
 from .sampling import SampleMatrix
 
 __all__ = [
@@ -34,6 +33,7 @@ __all__ = [
 ]
 
 _FD_STEP = 1e-6
+_N_BOOT = 200
 
 
 @dataclass
@@ -73,25 +73,20 @@ def _aitken(seq):
 def tail_dep_tilted(g, h=0.0, method="analytic"):
     """Tail dependence of the Archimedean copula with generator g tilted by h.
 
-    ``method="analytic"`` evaluates the limits in closed form per family
-    (the generator class's ``_tail_pair``);
+    The tilt is ``g.tilt(h)``, so h adds to any tilt g already carries and
+    must be nonnegative.  ``method="analytic"`` evaluates the limits in
+    closed form per family (the tilted generator's ``_tail_pair``);
     ``"numeric"`` evaluates the derivative-ratio limits on geometric grids
     (t = 10^2..10^6 and 10^-2..10^-6) with Aitken stabilization, flagging
     ``converged=False`` when, for either tail, the Aitken values of the last
     three and of the three before the last estimate differ by > 1e-4.
     """
-    h = float(h)
-    if h < 0:
-        raise ValueError("tilt h must be nonnegative")
-    if isinstance(g, TiltedGenerator):
-        h += g.h
-        g = g.base
+    tg = g.tilt(h)
     if method == "analytic":
-        lam_l, lam_u0 = g._tail_pair()
-        lam_u = lam_u0 if h == 0.0 else 0.0
-        return TailDepReport(lam_l, lam_u, "analytic-limit")
+        return TailDepReport(*tg._tail_pair(), "analytic-limit")
     if method != "numeric":
         raise ValueError("method must be 'analytic' or 'numeric'")
+    g, h = tg.base, tg.h
 
     def ratio(tt):
         return float(
@@ -113,7 +108,7 @@ def model_tail_dep(model):
     return model._tail_dep()
 
 
-def tail_dep_exchangeable_equal_t(model, t, step=_FD_STEP):
+def tail_dep_exchangeable_equal_t(model, t):
     """Tail dependence of an exchangeable bivariate model truncated at (t, t).
 
     lambda_l = lambda_l^C / D1C(0, t) and lambda_u = 2 - delta'(t)/D1C(t, t),
@@ -132,13 +127,13 @@ def tail_dep_exchangeable_equal_t(model, t, step=_FD_STEP):
         raise ValueError("C(t, t) must be positive")
 
     lam_l_c, _ = model_tail_dep(model)
-    d1_zero = float(model.cdf([step, t])) / step  # one-sided at the 0 boundary
+    d1_zero = float(model.cdf([_FD_STEP, t])) / _FD_STEP  # one-sided at the 0 boundary
     if not d1_zero > 0:
         raise ArithmeticError("degenerate partial derivative D1 C(0, t)")
     lam_l = lam_l_c / d1_zero
 
-    hi = min(t + step, 1.0)
-    lo = max(t - step, 0.0)
+    hi = min(t + _FD_STEP, 1.0)
+    lo = max(t - _FD_STEP, 0.0)
     width = hi - lo
     d1_tt = (float(model.cdf([hi, t])) - float(model.cdf([lo, t]))) / width
     ddelta = (float(model.cdf([hi, hi])) - float(model.cdf([lo, lo]))) / width
@@ -186,12 +181,12 @@ def kendall_dist_truncated(g, t, u, d=None):
     return float(out[0]) if u_in.ndim == 0 else out
 
 
-def empirical_tail_dep(data, q, n_boot=200, seed=0):
+def empirical_tail_dep(data, q, seed=0):
     """Empirical tail-dependence estimates at threshold q from bivariate data.
 
     lambda_l = C_n(q, q)/q and lambda_u = (1 - 2(1-q) + C_n(1-q, 1-q))/q with
     the empirical copula C_n of the rows (assumed copula scale).  Standard
-    errors come from a seeded bootstrap with ``n_boot`` resamples; since both
+    errors come from a seeded bootstrap with ``_N_BOOT`` resamples; since both
     statistics are means of row indicators, resampling reduces to exact
     binomial draws.
     """
@@ -209,8 +204,8 @@ def empirical_tail_dep(data, q, n_boot=200, seed=0):
     lam_l = p_lo / q
     lam_u = (1.0 - 2.0 * (1.0 - q) + p_hi) / q
     rng = rng_stream(seed)
-    boot_lo = rng.binomial(n, p_lo, size=n_boot) / (n * q)
-    boot_hi = rng.binomial(n, min(max(p_hi, 0.0), 1.0), size=n_boot) / (n * q)
+    boot_lo = rng.binomial(n, p_lo, size=_N_BOOT) / (n * q)
+    boot_hi = rng.binomial(n, min(max(p_hi, 0.0), 1.0), size=_N_BOOT) / (n * q)
     return TailDepReport(
         lam_l,
         lam_u,

@@ -88,13 +88,16 @@ def _add_common(sp, truncated=True, sampled=True):
     if sampled:
         sp.add_argument("--n", type=int, default=1000, help="number of rows/samples")
         sp.add_argument("--seed", type=int, default=0, help="RNG seed")
-        sp.add_argument(
-            "--method",
-            choices=("auto", "tilted", "oracle"),
-            default="auto",
-            help="sampling route: fast dispatch, forced tilted/closed path, or oracle",
-        )
     sp.add_argument("--out", help="output path (CSV or JSON depending on command)")
+
+
+def _add_method(sp):
+    sp.add_argument(
+        "--method",
+        choices=("auto", "tilted", "oracle"),
+        default="auto",
+        help="sampling route: fast dispatch, forced tilted/closed path, or oracle",
+    )
 
 
 def build_parser():
@@ -106,6 +109,7 @@ def build_parser():
 
     sp = sub.add_parser("sample", help="sample a (truncated) copula to CSV")
     _add_common(sp)
+    _add_method(sp)
     sp.add_argument("--raw", action="store_true", help="skip the rank (pseudo-observation) transform")
 
     sp = sub.add_parser("cdf", help="evaluate the model CDF at points")
@@ -118,10 +122,12 @@ def build_parser():
 
     sp = sub.add_parser("taildep", help="tail-dependence report for a truncated model")
     _add_common(sp)
+    _add_method(sp)
     sp.add_argument("--q", type=float, help="threshold for an additional empirical estimate")
 
     sp = sub.add_parser("kendall", help="empirical Kendall tau matrix of truncated samples")
     _add_common(sp)
+    _add_method(sp)
     sp.add_argument("--u", action="append", help="also tabulate the Kendall distribution at these u")
 
     sp = sub.add_parser("oracle-compare", help="fast path vs rejection oracle, sup distance")

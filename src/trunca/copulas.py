@@ -7,16 +7,17 @@ coordinate section,
     C_t(u) = C({sec_j_inv(C(t) u_j)}_j) / C(t),
 
 and is exact whenever the sections invert analytically.  Each model class
-chooses its own truncated form in ``_truncate``: Archimedean models stay
+chooses its own truncated form in ``_truncate`` and its own section inverse
+(``_section_inv_analytic``, if it has one): Archimedean models stay
 Archimedean with a tilted generator (tilt psi_inv(C(t))), so their truncation
 is again an ``ArchimedeanCopula``; nested Archimedean models keep a nested
 closed form, bivariate Marshall-Olkin models keep a piecewise closed form
 with an explicit singular curve, and independence/comonotonicity are fixed
-points.  Everything else (survival wrappers in particular) evaluates through
-a numeric inverse of the sections: an ITP bracket (interpolate, truncate,
-project) whose worst case stays within two steps of plain bisection.  Each
-truncated form in turn names its sampling ``route`` (see
-``sampling.sample_truncated``).
+points.  Everything else (survival wrappers in particular) is the
+construction itself, ``GeneralTruncation``, which always inverts the
+sections numerically (an ITP bracket to a width relative to t_j) and is the
+reference every closed form is checked against.  Each truncated form in
+turn names its sampling ``route`` (see ``sampling.sample_truncated``).
 
 A truncated copula is itself a ``CopulaModel``, and truncations compose:
 truncating C_t at s is truncating C at t*_j = sec_j_inv(C(t) s_j), so a
@@ -109,12 +110,11 @@ class CopulaModel:
         """The truncated copula at a validated TruncationPoint."""
         return GeneralTruncation(self, tp)
 
-    def margin_section_inv(self, j, y, t, method="auto"):
+    def margin_section_inv(self, j, y, t):
         """Generalized inverse inf{x : C(x; t_-j) >= y} on [0, t_j].
 
-        Without an analytic inverse it is the left end of an ITP bracket no
-        wider than ``BISECT_WIDTH``; ``method="bisect"`` forces that numeric
-        path even when an analytic inverse exists.
+        The class's analytic inverse where it has one; otherwise the left end
+        of an ITP bracket no wider than ``BISECT_WIDTH * t_j``.
         """
         t = np.asarray(t, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -123,9 +123,7 @@ class CopulaModel:
         if np.any(y_arr < -_EDGE_TOL) or np.any(y_arr > top * (1.0 + 1e-9) + _EDGE_TOL):
             raise ValueError("section inverse argument outside [0, C(t)]")
         y_arr = np.clip(y_arr, 0.0, top)
-        out = None
-        if method != "bisect":
-            out = self._section_inv_analytic(j, y_arr, t)
+        out = self._section_inv_analytic(j, y_arr, t)
         if out is None:
             out = _itp_section_inv(self, j, y_arr, t, top)
         out = np.clip(out, 0.0, t[j])
@@ -138,21 +136,25 @@ class CopulaModel:
 def _itp_section_inv(model, j, y, t, top):
     """ITP bracketing (Oliveira & Takahashi 2020) of every section(x) = y at once.
 
-    Keeps section(lo) < y <= section(hi) from [0, t_j].  Each step moves the
-    regula-falsi point towards the midpoint by max(kappa1 w^2, eps/2), with
-    kappa1 = 0.2 / t_j (the floor keeps the step above an ulp, so both ends of
+    Keeps section(lo) < y <= section(hi) from [0, t_j], with top = section(t_j)
+    = C(t), down to the width BISECT_WIDTH * t_j: the error in x is relative
+    to t_j at every scale.  Each step moves the regula-falsi point towards the
+    midpoint by max(kappa1 w^2, eps/2), with kappa1 = 0.2 / t_j and eps half
+    the final width (the floor keeps the step above an ulp, so both ends of
     the bracket move), then projects it into the minmax radius around the
     midpoint.  Superlinear on smooth sections; on any section at most n0 = 1
-    step more than bisection, plus one where midpoint rounding ends just above
-    BISECT_WIDTH.
+    step more than bisection, plus one where midpoint rounding ends just
+    above the final width.
     """
-    tj, eps = float(t[j]), 0.5 * BISECT_WIDTH
-    n_max = int(np.ceil(np.log2(tj / BISECT_WIDTH))) + 1
+    tj = float(t[j])
+    width = BISECT_WIDTH * tj
+    eps = 0.5 * width
+    n_max = int(np.ceil(np.log2(1.0 / BISECT_WIDTH))) + 1
     lo, hi = np.zeros(y.shape), np.full(y.shape, tj)
     f_lo, f_hi = -y, top - y  # sections are grounded: section(0) = 0
     for k in range(BISECT_MAX_ITER):
         w = hi - lo
-        if float(np.max(w)) <= BISECT_WIDTH:
+        if float(np.max(w)) <= width:
             break
         mid = 0.5 * (lo + hi)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -278,12 +280,6 @@ class ArchimedeanCopula(CopulaModel):
         return f"ArchimedeanCopula({self.generator!r}, d={self.d})"
 
 
-def _plain_family(g):
-    if isinstance(g, OuterPowerGenerator):
-        return None
-    return type(g)
-
-
 def _validate_nesting(root, sectors):
     if isinstance(root, IndependenceGenerator):
         return
@@ -302,11 +298,8 @@ def _validate_nesting(root, sectors):
                     "root alpha >= sector alphas"
                 )
         return
-    cls = _plain_family(root)
-    if cls is None:
-        raise ValueError("unsupported root generator for nesting")
     for g, ds in sectors:
-        if type(g) is not cls or not (root.theta <= g.theta + 1e-12):
+        if type(g) is not type(root) or not (root.theta <= g.theta + 1e-12):
             raise ValueError(
                 "nesting condition: sector generators must match the root family "
                 "with theta_root <= theta_sector"
@@ -699,44 +692,36 @@ class MOTruncation(TruncatedCopula):
 
 
 class GeneralTruncation(TruncatedCopula):
-    """Componentwise-inversion construction, exact up to ``BISECT_WIDTH`` in x.
+    """The componentwise-inversion construction C({sec_j_inv(C(t) u_j)}_j) / C(t).
 
-    ``inverse_method="auto"`` uses analytic section inverses where the model
-    has them; ``"bisect"`` forces the numeric bracket (the verification path).
+    Every section is inverted numerically, to ``BISECT_WIDTH * t_j`` in x,
+    whether or not the model has an analytic inverse: this is the reference
+    every closed form is checked against.
     """
 
     form = "general"
-
-    def __init__(self, source, point, inverse_method="auto"):
-        super().__init__(source, point)
-        self.inverse_method = inverse_method
 
     def _cdf(self, pts):
         c = self.point.c_of_t
         t = self.point.t
         x = np.empty_like(pts)
         for j in range(self.d):
-            x[:, j] = self.source.margin_section_inv(
-                j, c * pts[:, j], t, method=self.inverse_method
-            )
-        return np.atleast_1d(self.source.cdf(np.minimum(x, t))) / c
+            x[:, j] = _itp_section_inv(self.source, j, c * pts[:, j], t, c)
+        return np.atleast_1d(self.source.cdf(x)) / c
 
 
 def truncate_general(model, t, method="auto"):
     """The copula of U | U <= t for U ~ model.
 
-    ``method="auto"`` dispatches to closed forms where the model admits one;
-    ``"numeric"`` forces the componentwise-inversion construction with
-    analytic section inverses; ``"bisect"`` additionally forces the numeric
-    (ITP-bracketed) inverse of the sections.
+    ``method="auto"`` is the model's own truncated form, closed where the
+    model admits one; ``"bisect"`` is always ``GeneralTruncation``, the
+    construction with numerically inverted sections.
     """
     tp = TruncationPoint.make(model, t)
-    if method in ("numeric", "bisect"):
-        return GeneralTruncation(
-            model, tp, inverse_method="auto" if method == "numeric" else "bisect"
-        )
+    if method == "bisect":
+        return GeneralTruncation(model, tp)
     if method != "auto":
-        raise ValueError("method must be one of 'auto', 'numeric', 'bisect'")
+        raise ValueError("method must be 'auto' or 'bisect'")
     return model._truncate(tp)
 
 

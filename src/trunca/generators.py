@@ -85,9 +85,10 @@ class Generator:
     family: str = ""
     theta = None
 
-    # subclasses implement the array-valued kernels below
+    # subclasses implement the array-valued kernels below; _psi defaults to
+    # exp(_log_psi), which families override where a direct form is more exact
     def _psi(self, t):
-        raise NotImplementedError
+        return np.exp(self._log_psi(t))
 
     def _log_psi(self, t):
         raise NotImplementedError
@@ -179,9 +180,6 @@ class IndependenceGenerator(Generator):
 
     family = "independence"
 
-    def _psi(self, t):
-        return np.exp(-t)
-
     def _log_psi(self, t):
         return -t
 
@@ -215,9 +213,6 @@ class ClaytonGenerator(Generator):
         if not theta > 0:
             raise ValueError("Clayton generator requires theta > 0")
         self.theta = theta
-
-    def _psi(self, t):
-        return np.exp(-np.log1p(t) / self.theta)
 
     def _log_psi(self, t):
         return -np.log1p(t) / self.theta
@@ -266,9 +261,6 @@ class AMHGenerator(Generator):
     def _log_psi(self, t):
         th = self.theta
         return np.log1p(-th) - t - np.log1p(-th * np.exp(-t))
-
-    def _psi(self, t):
-        return np.exp(self._log_psi(t))
 
     def _psi_inv(self, u):
         # log((1 - theta (1 - u)) / u)
@@ -353,9 +345,6 @@ class GumbelGenerator(Generator):
         if not theta >= 1:
             raise ValueError("Gumbel generator requires theta >= 1")
         self.theta = theta
-
-    def _psi(self, t):
-        return np.exp(-np.power(t, 1.0 / self.theta))
 
     def _log_psi(self, t):
         return -np.power(t, 1.0 / self.theta)
@@ -485,9 +474,6 @@ class TiltedGenerator(Generator):
     @property
     def theta(self):
         return self.base.theta
-
-    def _psi(self, t):
-        return np.exp(self._log_psi(t))
 
     def _log_psi(self, t):
         return self.base.log_psi(t + self.h) - self._log_psi_h

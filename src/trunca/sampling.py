@@ -300,7 +300,7 @@ def _average_ranks(x):
     return ranks
 
 
-def empirical_copula_distance(a, b, levels=None):
+def empirical_copula_distance(a, b):
     """Sup over a grid of the difference of two empirical copulas.
 
     The grid uses cell midpoints (2k-1)/(2L), which cannot collide with rank
@@ -311,8 +311,7 @@ def empirical_copula_distance(a, b, levels=None):
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
         raise ValueError("samples must be (n, d) arrays of equal dimension")
     d = A.shape[1]
-    if levels is None:
-        levels = {2: 20, 3: 10}.get(d, max(2, int(round(4000 ** (1.0 / d)))))
+    levels = {2: 20, 3: 10}.get(d, max(2, int(round(4000 ** (1.0 / d)))))
     qs = (2.0 * np.arange(1, levels + 1) - 1.0) / (2.0 * levels)
     edges = np.concatenate([[0.0], qs, [1.0 + 1e-9]])
     ha, _ = np.histogramdd(A, bins=[edges] * d)

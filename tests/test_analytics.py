@@ -86,6 +86,12 @@ class TestTailDepTilted:
         rep = tail_dep_tilted(generator("gumbel", 2.0).tilt(1.0))
         assert rep.lambda_upper == 0.0
 
+    @pytest.mark.parametrize("method", ["analytic", "numeric"])
+    @pytest.mark.parametrize("h", [-0.5, float("nan")])
+    def test_invalid_tilt_rejected(self, h, method):
+        with pytest.raises(ValueError, match="tilt h must be nonnegative"):
+            tail_dep_tilted(generator("gumbel", 2.0), h, method=method)
+
     def test_upper_zero_for_all_families_tilted(self):
         for fam, th in (
             ("clayton", 2.0),

@@ -215,11 +215,12 @@ def test_unsupported_request_is_config_error(tmp_path, model_file, spec, argv, c
     assert not out.exists()
 
 
-# flags that cdf and truncate-eval never read
+# flags that cdf, truncate-eval and oracle-compare never read
 @pytest.mark.parametrize(
     "argv",
     [
         ["cdf", "--u", "0.3,0.4", "--method", "oracle"],
+        ["oracle-compare", "--t", "0.5,0.5", "--method", "tilted"],
         ["cdf", "--u", "0.3,0.4", "--t", "0.5,0.5"],
         ["truncate-eval", "--t", "0.5,0.5", "--u", "0.3,0.4", "--n", "5"],
         ["truncate-eval", "--t", "0.5,0.5", "--u", "0.3,0.4", "--seed", "1"],

@@ -32,7 +32,7 @@ from trunca import (
     truncate_general,
     truncated_cdf,
 )
-from trunca.copulas import BISECT_WIDTH, CopulaModel, _columnwise
+from trunca.copulas import BISECT_WIDTH, CopulaModel, _columnwise, _itp_section_inv
 
 
 def model_zoo():
@@ -140,7 +140,7 @@ class TestMarginSectionInv:
         t = np.array([1.0, 0.5])
         for y in (0.05, 0.1, 0.3, 0.45):
             ana = mo.margin_section_inv(0, y, t)
-            num = mo.margin_section_inv(0, y, t, method="bisect")
+            num = _itp_section_inv(mo, 0, np.array([y]), t, float(mo.cdf(t)))[0]
             assert abs(ana - num) <= 1e-10
             assert mo.margin_section(0, ana, t) == pytest.approx(y, abs=1e-12)
         assert mo.margin_section_inv(0, 0.05, t) == pytest.approx(0.05 / 0.5**0.3, rel=1e-12)
@@ -223,10 +223,10 @@ class TestTruncateDispatch:
 
     def test_method_argument(self):
         m = ArchimedeanCopula(generator("clayton", 2.0), 2)
-        assert isinstance(truncate_general(m, [0.5, 0.5], method="numeric"), GeneralTruncation)
         assert isinstance(truncate_general(m, [0.5, 0.5], method="bisect"), GeneralTruncation)
-        with pytest.raises(ValueError):
-            truncate_general(m, [0.5, 0.5], method="bogus")
+        for method in ("numeric", "bogus"):
+            with pytest.raises(ValueError):
+                truncate_general(m, [0.5, 0.5], method=method)
 
     def test_closed_vs_bisect_all_models(self):
         rng = np.random.default_rng(5)
@@ -652,16 +652,16 @@ def test_closed_form_equals_bisection(fam, data, seed):
 @given(name=st.sampled_from(sorted(ZOO)), data=st.data())
 def test_numeric_section_inverse_brackets(name, data):
     # the numeric inverse returns the left end of a bracket no wider than
-    # BISECT_WIDTH: section(x) < y <= section(x + BISECT_WIDTH)
+    # BISECT_WIDTH * t_j: section(x) < y <= section(x + BISECT_WIDTH * t_j)
     m = ZOO[name][0]
     j = data.draw(st.integers(0, m.d - 1), label="j")
     t = data.draw(_unit_vectors(m.d, 0.05), label="t")
     top = m.margin_section(j, t[j], t)
     share = data.draw(st.lists(st.floats(0.0, 1.0), max_size=6), label="y / top")
     y = top * np.array([0.0, 1.0, *share])
-    x = m.margin_section_inv(j, y, t, method="bisect")
+    x = _itp_section_inv(m, j, y, t, top)
     assert np.all((x == 0.0) | (m.margin_section(j, x, t) < y))
-    assert np.all(m.margin_section(j, np.minimum(x + BISECT_WIDTH, t[j]), t) >= y)
+    assert np.all(m.margin_section(j, np.minimum(x + BISECT_WIDTH * t[j], t[j]), t) >= y)
 
 
 def test_numeric_inverse_evaluation_count(monkeypatch):
@@ -675,13 +675,29 @@ def test_numeric_inverse_evaluation_count(monkeypatch):
     monkeypatch.setattr(CopulaModel, "margin_section", counted)
     sg, t = ZOO["survival_gumbel"]
     truncate_general(sg, t).cdf(np.random.default_rng(5).random((2000, 2)))
-    # fixed-width halving to BISECT_WIDTH takes 44 evaluations per coordinate
+    # halving to BISECT_WIDTH * t_j takes 44 evaluations per coordinate
     assert calls.count(0) <= 16 and calls.count(1) <= 16
     # a section flat beyond 0.4 defeats interpolation: the bisection bound holds
     calls.clear()
     t = np.array([0.4, 0.9])
-    ComonotoneCopula(2).margin_section_inv(1, np.array([0.0, 0.2, 0.4]), t, method="bisect")
-    assert len(calls) <= np.ceil(np.log2(t[1] / BISECT_WIDTH)) + 3
+    _itp_section_inv(ComonotoneCopula(2), 1, np.array([0.0, 0.2, 0.4]), t, 0.4)
+    assert len(calls) <= np.ceil(np.log2(1.0 / BISECT_WIDTH)) + 3
+
+
+def test_numeric_inverse_width_is_relative():
+    # an absolute width of 1e-13 is a 1e-4 relative error in x at t_j = 1e-9
+    sg = survival(ArchimedeanCopula(generator("gumbel", 2.0), 2))
+    t = np.array([1e-9, 1e-9])
+    c = float(sg.cdf(t))
+    x = np.zeros(2)
+    for j in range(2):
+        lo, hi = 0.0, t[j]
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if sg.margin_section(j, mid, t) >= 0.5 * c else (mid, hi)
+        x[j] = lo
+    reference = float(sg.cdf(x)) / c
+    assert abs(truncate_general(sg, t).cdf([0.5, 0.5]) - reference) <= 1e-10
 
 
 def _blocks(lo, hi):
