@@ -47,7 +47,6 @@ from .copulas import (
 from .frailty import (
     rng_stream,
     sample_frailty,
-    sample_log,
     sample_sibuya,
     sample_stable,
     sample_tilted_sibuya,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .copulas import ArchimedeanCopula, TruncationPoint
 from .frailty import rng_stream
-from .sampling import SampleMatrix
+from .sampling import SampleMatrix, _sorted_runs
 
 __all__ = [
     "TailDepReport",
@@ -34,6 +34,7 @@ __all__ = [
 
 _FD_STEP = 1e-6
 _N_BOOT = 200
+_BOOT_SEED = 0
 
 
 @dataclass
@@ -146,15 +147,15 @@ def tail_dep_exchangeable_equal_t(model, t):
     return TailDepReport(lam_l, lam_u, "numeric-limit")
 
 
-def kendall_dist_truncated(g, t, u, d=None):
+def kendall_dist_truncated(g, t, u):
     """K(u) = P(W <= u) for W = C_t(U_t), truncated-Archimedean Kendall law.
 
     K(u) = sum_{k<d} (x - h)^k (-1)^k psi^(k)(x) / (k! C(t)) with
-    x = psi_inv(C(t) u) and h = psi_inv(C(t)).  Needs psi'' and is therefore
-    limited to d in {2, 3}; t = 1 recovers the classical Archimedean Kendall
-    distribution.
+    x = psi_inv(C(t) u), h = psi_inv(C(t)) and d = len(t).  Needs psi'' and
+    is therefore limited to d in {2, 3}; t = 1 recovers the classical
+    Archimedean Kendall distribution.
     """
-    d = int(np.size(getattr(t, "t", t)) if d is None else d)
+    d = int(np.size(getattr(t, "t", t)))
     if d not in (2, 3):
         raise ValueError("Kendall distribution implemented for d in {2, 3}")
     c = TruncationPoint.make(ArchimedeanCopula(g, d), t).c_of_t
@@ -181,14 +182,14 @@ def kendall_dist_truncated(g, t, u, d=None):
     return float(out[0]) if u_in.ndim == 0 else out
 
 
-def empirical_tail_dep(data, q, seed=0):
+def empirical_tail_dep(data, q):
     """Empirical tail-dependence estimates at threshold q from bivariate data.
 
     lambda_l = C_n(q, q)/q and lambda_u = (1 - 2(1-q) + C_n(1-q, 1-q))/q with
     the empirical copula C_n of the rows (assumed copula scale).  Standard
-    errors come from a seeded bootstrap with ``_N_BOOT`` resamples; since both
-    statistics are means of row indicators, resampling reduces to exact
-    binomial draws.
+    errors come from a bootstrap with ``_N_BOOT`` resamples, seeded by
+    ``_BOOT_SEED`` so repeated calls agree; since both statistics are means
+    of row indicators, resampling reduces to exact binomial draws.
     """
     X = data.data if isinstance(data, SampleMatrix) else np.asarray(data, dtype=float)
     if X.ndim != 2 or X.shape[1] != 2:
@@ -203,7 +204,7 @@ def empirical_tail_dep(data, q, seed=0):
     p_hi = float(np.mean((X[:, 0] <= 1.0 - q) & (X[:, 1] <= 1.0 - q)))
     lam_l = p_lo / q
     lam_u = (1.0 - 2.0 * (1.0 - q) + p_hi) / q
-    rng = rng_stream(seed)
+    rng = rng_stream(_BOOT_SEED)
     boot_lo = rng.binomial(n, p_lo, size=_N_BOOT) / (n * q)
     boot_hi = rng.binomial(n, min(max(p_hi, 0.0), 1.0), size=_N_BOOT) / (n * q)
     return TailDepReport(
@@ -221,14 +222,9 @@ def _tied_pairs(first):
     return int((cnt * (cnt - 1) // 2).sum())
 
 
-def _run_starts(v):
-    return np.concatenate(([True], v[1:] != v[:-1]))
-
-
 def _dense_ranks(v):
     """0-based dense ranks of v and the number of tied pairs in it."""
-    order = np.argsort(v)
-    first = _run_starts(v[order])
+    order, first = _sorted_runs(v)
     ranks = np.empty(v.size, dtype=np.intp)
     ranks[order] = np.cumsum(first) - 1
     return ranks, _tied_pairs(first)
@@ -286,8 +282,8 @@ def empirical_kendall_tau(data, j1=0, j2=1):
     rx, n1 = _dense_ranks(x)
     ry, n2 = _dense_ranks(y)
     key = rx * (int(ry.max()) + 1) + ry
-    order = np.argsort(key)
-    n3 = _tied_pairs(_run_starts(key[order]))
+    order, first = _sorted_runs(key)
+    n3 = _tied_pairs(first)
     dis = _discordant_pairs(ry[order])
     n0 = n * (n - 1) // 2
     tau = (n0 - n1 - n2 + n3 - 2 * dis) / np.sqrt(n0 - n1) / np.sqrt(n0 - n2)

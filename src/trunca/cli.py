@@ -77,6 +77,11 @@ FIGURES = {
 }
 
 
+# taildep samples only for --q; its sampling flags default to None, so that
+# they can be refused without --q, and take these values with it
+_TAILDEP_SAMPLE_DEFAULTS = {"n": 1000, "seed": 0, "method": "auto"}
+
+
 class ConfigError(Exception):
     pass
 
@@ -124,6 +129,7 @@ def build_parser():
     _add_common(sp)
     _add_method(sp)
     sp.add_argument("--q", type=float, help="threshold for an additional empirical estimate")
+    sp.set_defaults(**dict.fromkeys(_TAILDEP_SAMPLE_DEFAULTS))
 
     sp = sub.add_parser("kendall", help="empirical Kendall tau matrix of truncated samples")
     _add_common(sp)
@@ -260,6 +266,11 @@ def cmd_truncate_eval(args):
 
 
 def cmd_taildep(args):
+    for name, default in _TAILDEP_SAMPLE_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.q is None:
+            raise ConfigError(f"--{name} is read only with --q")
     if args.q is not None:
         if not 0.0 < args.q < 0.5:
             raise ConfigError("--q must lie in (0, 0.5)")
@@ -316,7 +327,7 @@ def cmd_kendall(args):
         payload["kendall_dist"] = {
             "u": us.tolist(),
             "K": np.atleast_1d(
-                kendall_dist_truncated(model.generator, tp.t, us, d=model.d)
+                kendall_dist_truncated(model.generator, tp.t, us)
             ).tolist(),
         }
     _emit_json(payload, args.out)
@@ -397,7 +408,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "n", 1) < 1:
+        if getattr(args, "n", None) is not None and args.n < 1:
             raise ConfigError("--n must be at least 1")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -4,14 +4,16 @@ Every Archimedean generator is the Laplace-Stieltjes transform of a frailty
 law F; tilting the generator by h reweights F by ``e^{-h v}`` (normalized by
 ``psi(h)``).  This module holds the laws only and imports nothing from the
 rest of the package: each generator class picks its law in ``_frailty``.
-Beside numpy's gamma and geometric laws these are the log-series law, the
-Sibuya law and its tilt (a two-envelope rejection with overall constant
-below 1/(1 - 1/e) ~ 1.582), and the positive stable law and its exponential
-tilt (a fast rejection over m ~ h^alpha summands).
+numpy supplies the gamma, geometric and log-series laws
+(``Generator.logseries``); this module adds the Sibuya law and its tilt (a
+two-envelope rejection with overall constant below 1/(1 - 1/e) ~ 1.582), and
+the positive stable law and its exponential tilt (a fast rejection over
+m ~ h^alpha summands).
 
-Discrete samplers return integer-valued float arrays: Sibuya variates can
-exceed 2**53 (the law has infinite mean), where exact integer representation
-is neither possible nor statistically relevant.
+Every sampler takes the number of draws ``size`` and returns an array of that
+length.  Discrete samplers return integer-valued float arrays: Sibuya
+variates can exceed 2**53 (the law has infinite mean), where exact integer
+representation is neither possible nor statistically relevant.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 __all__ = [
     "rng_stream",
     "sample_frailty",
-    "sample_log",
     "sample_sibuya",
     "sample_tilted_sibuya",
     "sample_stable",
@@ -46,37 +47,6 @@ def rng_stream(seed, stream=0):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _size_out(out, size):
-    return out if size is not None else float(out[0])
-
-
-def sample_log(p, rng, size=None):
-    """Logarithmic-series draws with pmf p^k / (-log(1-p) k), k = 1, 2, ...
-
-    Kemp's two-uniform "LK" scheme: the first uniform settles the bulk atom
-    k = 1, the second resolves the tail through the exponential mixture
-    representation.  Two uniforms are always consumed per draw so the stream
-    layout is input-independent.
-    """
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError("log-series parameter p must lie in (0, 1)")
-    n = 1 if size is None else int(size)
-    v = rng.random(n)
-    u = rng.random(n)
-    out = np.ones(n)
-    r = np.log1p(-p)
-    tail = v < p
-    if np.any(tail):
-        vt = v[tail]
-        q = -np.expm1(r * u[tail])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k = np.floor(1.0 + np.log(vt) / np.log(q))
-        k = np.where(np.isfinite(k) & (k >= 1.0), k, 1.0)
-        out[tail] = np.where(vt <= q * q, k, np.where(vt >= q, 1.0, 2.0))
-    return _size_out(out, size)
-
-
 _SIB_MAX = 1e300
 
 
@@ -95,7 +65,7 @@ def _sibuya_log_sf(k, alpha):
     return np.where(small, exact, asym) - gammaln(1.0 - alpha)
 
 
-def sample_sibuya(alpha, rng, size=None):
+def sample_sibuya(alpha, rng, size):
     """Sibuya(alpha) draws by survival-function inversion in log space.
 
     P(V > k) = prod_{i=1..k}(1 - alpha/i); given U uniform, the smallest k
@@ -105,10 +75,10 @@ def sample_sibuya(alpha, rng, size=None):
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("Sibuya exponent alpha must lie in (0, 1]")
-    n = 1 if size is None else int(size)
+    n = int(size)
     u = rng.random(n)
     if alpha == 1.0:
-        return _size_out(np.ones(n), size)
+        return np.ones(n)
     logu = np.log(np.clip(u, 1e-300, None))
 
     hi = np.ones(n)
@@ -131,10 +101,10 @@ def sample_sibuya(alpha, rng, size=None):
         hi[act] = new_hi
         lo[act] = new_lo
         act = act[new_hi - new_lo > 1.0]
-    return _size_out(hi, size)
+    return hi
 
 
-def sample_tilted_sibuya(alpha, p, rng, size=None, branch="auto", return_stats=False):
+def sample_tilted_sibuya(alpha, p, rng, size, branch="auto", return_stats=False):
     """Exponentially tilted Sibuya draws: pmf p^k Sib(alpha)-pmf(k), normalized.
 
     Two rejection envelopes: propose Sibuya(alpha) and thin by p^(V-1), or
@@ -157,7 +127,7 @@ def sample_tilted_sibuya(alpha, p, rng, size=None, branch="auto", return_stats=F
     else:
         raise ValueError("branch must be one of 'auto', 'sibuya', 'log'")
 
-    n = 1 if size is None else int(size)
+    n = int(size)
     out = np.empty(n)
     pending = np.arange(n)
     proposals = 0
@@ -165,10 +135,10 @@ def sample_tilted_sibuya(alpha, p, rng, size=None, branch="auto", return_stats=F
     while pending.size:
         k = pending.size
         if use_sibuya:
-            v = np.asarray(sample_sibuya(alpha, rng, size=k))
+            v = sample_sibuya(alpha, rng, size=k)
             log_acc = (v - 1.0) * logp
         else:
-            v = np.asarray(sample_log(p, rng, size=k))
+            v = rng.logseries(p, size=k).astype(float)
             from scipy.special import gammaln
 
             # log prod_{j=1}^{v-1}(1 - alpha/j)
@@ -179,13 +149,12 @@ def sample_tilted_sibuya(alpha, p, rng, size=None, branch="auto", return_stats=F
         out[pending[acc]] = v[acc]
         proposals += k
         pending = pending[~acc]
-    result = _size_out(out, size)
     if return_stats:
-        return result, n, proposals
-    return result
+        return out, n, proposals
+    return out
 
 
-def sample_stable(alpha, rng, size=None):
+def sample_stable(alpha, rng, size):
     """Positive stable draws with Laplace transform exp(-t^alpha), alpha in (0, 1].
 
     Kanter's trigonometric representation from one uniform and one unit
@@ -194,9 +163,9 @@ def sample_stable(alpha, rng, size=None):
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("stable exponent alpha must lie in (0, 1]")
-    n = 1 if size is None else int(size)
+    n = int(size)
     if alpha == 1.0:
-        return _size_out(np.ones(n), size)
+        return np.ones(n)
     u = np.clip(rng.random(n), 1e-16, 1.0 - 1e-16)
     w = np.maximum(rng.standard_exponential(n), 1e-300)
     th = np.pi * u
@@ -207,10 +176,10 @@ def sample_stable(alpha, rng, size=None):
         - (1.0 / alpha) * np.log(np.sin(th))
         - (a / alpha) * np.log(w)
     )
-    return _size_out(np.exp(logs), size)
+    return np.exp(logs)
 
 
-def sample_tilted_stable(alpha, h, rng, size=None):
+def sample_tilted_stable(alpha, h, rng, size):
     """Draws with Laplace transform exp(-((t + h)^alpha - h^alpha)).
 
     Fast rejection: the law is infinitely divisible, so split it into
@@ -222,17 +191,17 @@ def sample_tilted_stable(alpha, h, rng, size=None):
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("stable exponent alpha must lie in (0, 1]")
-    n = 1 if size is None else int(size)
+    n = int(size)
     h = np.broadcast_to(np.asarray(h, dtype=float), (n,)).copy()
     if np.any(h < 0) or np.any(np.isnan(h)):
         raise ValueError("tilt h must be nonnegative")
     if alpha == 1.0:
-        return _size_out(np.ones(n), size)
+        return np.ones(n)
 
     out = np.empty(n)
     zero = h == 0.0
     if np.any(zero):
-        out[zero] = np.asarray(sample_stable(alpha, rng, size=int(zero.sum())))
+        out[zero] = sample_stable(alpha, rng, size=int(zero.sum()))
     rest = np.where(~zero)[0]
     if rest.size:
         m = np.maximum(1.0, np.round(np.power(h[rest], alpha)))
@@ -246,16 +215,16 @@ def sample_tilted_stable(alpha, h, rng, size=None):
             vals = np.empty(idx.size * mi)
             pending = np.arange(vals.size)
             while pending.size:
-                s = np.asarray(sample_stable(alpha, rng, size=pending.size)) * scale
+                s = sample_stable(alpha, rng, size=pending.size) * scale
                 with np.errstate(divide="ignore"):
                     acc = np.log(rng.random(pending.size)) <= -comp_h[pending] * s
                 vals[pending[acc]] = s[acc]
                 pending = pending[~acc]
             out[idx] = vals.reshape(idx.size, mi).sum(axis=1)
-    return _size_out(out, size)
+    return out
 
 
-def sample_frailty(g, h, rng, size=None):
+def sample_frailty(g, h, rng, size):
     """Draws from the frailty with Laplace transform psi(t + h)/psi(h).
 
     ``h = 0`` gives the base frailty of the generator; ``h > 0`` its
@@ -265,5 +234,4 @@ def sample_frailty(g, h, rng, size=None):
     h = float(h)
     if not h >= 0:
         raise ValueError("tilt h must be nonnegative")
-    n = 1 if size is None else int(size)
-    return _size_out(g._frailty(h, rng, n), size)
+    return g._frailty(h, rng, int(size))

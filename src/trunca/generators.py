@@ -2,8 +2,9 @@
 
 A family class carries the three facts truncation needs together: ``psi``
 (with its inverse and derivatives), the frailty law tilted by ``e^{-hv}``
-(``_frailty``, which picks one of the laws in ``frailty``) and its analytic
-tail coefficients (``_tail_pair``).
+(``_frailty``, which picks numpy's gamma, geometric or log-series law, or one
+of the laws in ``frailty``) and its analytic tail coefficients
+(``_tail_pair``).
 
 A generator ``psi`` maps ``[0, inf)`` onto ``(0, 1]`` with ``psi(0) = 1``,
 strictly decreasing to 0, and is completely monotone on the stated parameter
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frailty import sample_log, sample_sibuya, sample_tilted_sibuya, sample_tilted_stable
+from .frailty import sample_sibuya, sample_tilted_sibuya, sample_tilted_stable
 
 __all__ = [
     "Generator",
@@ -330,9 +331,10 @@ class FrankGenerator(Generator):
         return z - log1mexp(z) - np.log(self.theta)
 
     def _frailty(self, h, rng, n):
-        # Log(p) tilts to Log(p e^{-h})
+        # Log(p) tilts to Log(p e^{-h}); numpy raises ValueError where p rounds
+        # to 1 (theta above about 37.4 at h = 0)
         p = -np.expm1(-self.theta) * np.exp(-h)
-        return sample_log(p, rng, size=n)
+        return rng.logseries(p, size=n).astype(float)
 
 
 class GumbelGenerator(Generator):

@@ -1,14 +1,16 @@
 """Copula-level sampling: frailty constructions, the rejection oracle, transforms.
 
-The fast routes are exact: Archimedean (and tilted/outer-power Archimedean)
-models sample through the frailty construction ``U_j = psi(E_j / V)``;
-nested Clayton/Gumbel stacks through root and sector frailties; independence-
-coupled blocks blockwise.  A truncation that is a model again (the
-"closed-model" and "product" routes) samples as that model, ``tc.model``.
-The oracle route is the model-agnostic rejection sampler (resample until
+The model samplers return plain (n, d) arrays.  They are exact: Archimedean
+(and tilted/outer-power Archimedean) models sample through the frailty
+construction ``U_j = psi(E_j / V)``; nested Clayton/Gumbel stacks through
+root and sector frailties; independence-coupled blocks blockwise.  A
+truncation that is a model again (the "tilted-frailty", "closed-model" and
+"product" routes) samples as that model, ``tc.model``: a truncated
+Archimedean copula is the Archimedean copula of the tilted generator.  The
+oracle route is the model-agnostic rejection sampler (resample until
 ``U <= t``), which doubles as the reference implementation every fast route
 is tested against.  Which route a truncated copula takes is its class
-attribute ``route``; ``sample_truncated`` only follows it.
+attribute ``route``; ``sample_truncated`` only follows it and records it.
 """
 
 from __future__ import annotations
@@ -87,17 +89,16 @@ def sample_archimedean(gen, d, n, rng):
     """Frailty construction: U_j = psi(E_j / V), E_j iid Exp(1), V ~ LS^-1[psi].
 
     ``gen`` may be tilted or outer-power; the matching (tilted) frailty is
-    drawn per row.
+    drawn per row.  Returns an (n, d) array.
     """
     n = _rows_wanted(n)
-    v = np.asarray(sample_frailty(gen, 0.0, rng, size=n), dtype=float)
+    v = sample_frailty(gen, 0.0, rng, size=n)
     e = rng.standard_exponential((n, int(d)))
-    u = np.asarray(gen.psi(e / v[:, None]))
-    return SampleMatrix(u, {"method": "frailty", "generator": repr(gen)})
+    return np.asarray(gen.psi(e / v[:, None]))
 
 
 def sample_nested(model, n, rng):
-    """Sample a nested Archimedean model.
+    """n rows of a nested Archimedean model, as an (n, d) array.
 
     Independence roots sample sectors independently.  Same-family Clayton or
     Gumbel stacks use the conditional frailty construction: a root frailty
@@ -115,8 +116,8 @@ def sample_nested(model, n, rng):
             if ds == 1:
                 out[:, sl.start] = rng.random(n)
             else:
-                out[:, sl] = sample_archimedean(g, ds, n, rng).data
-        return SampleMatrix(out, {"method": "nested-product"})
+                out[:, sl] = sample_archimedean(g, ds, n, rng)
+        return out
 
     fam = root.family
     if fam not in ("clayton", "gumbel"):
@@ -124,7 +125,7 @@ def sample_nested(model, n, rng):
             "nested sampling is implemented for independence roots and plain "
             "Clayton or Gumbel stacks"
         )
-    v0 = np.asarray(sample_frailty(root, 0.0, rng, size=n), dtype=float)
+    v0 = sample_frailty(root, 0.0, rng, size=n)
     for s, sl in enumerate(model.slices):
         g, ds = model.sectors[s]
         alpha = root.theta / g.theta
@@ -133,12 +134,12 @@ def sample_nested(model, n, rng):
         else:
             scaled = np.power(v0, 1.0 / alpha)
             if fam == "gumbel":
-                vs = scaled * np.asarray(sample_stable(alpha, rng, size=n))
+                vs = scaled * sample_stable(alpha, rng, size=n)
             else:
-                vs = scaled * np.asarray(sample_tilted_stable(alpha, scaled, rng, size=n))
+                vs = scaled * sample_tilted_stable(alpha, scaled, rng, size=n)
         e = rng.standard_exponential((n, ds))
         out[:, sl] = np.asarray(g.psi(e / vs[:, None]))
-    return SampleMatrix(out, {"method": "nested-frailty"})
+    return out
 
 
 def sample_model(model, n, rng):
@@ -150,9 +151,9 @@ def sample_model(model, n, rng):
         u = rng.random(n)
         return np.repeat(u[:, None], model.d, axis=1)
     if isinstance(model, ArchimedeanCopula):
-        return sample_archimedean(model.generator, model.d, n, rng).data
+        return sample_archimedean(model.generator, model.d, n, rng)
     if isinstance(model, NestedArchimedeanCopula):
-        return sample_nested(model, n, rng).data
+        return sample_nested(model, n, rng)
     if isinstance(model, MarshallOlkinCopula):
         # shock construction: independent uniform shocks, one shared
         z = rng.random((n, 3))
@@ -240,19 +241,17 @@ def transform_margins(raw, model, t):
 def sample_truncated(tc, n, rng):
     """Sample a truncated copula by the route its class names (``tc.route``).
 
-    "tilted-frailty" reuses the frailty construction with the tilted frailty;
-    "closed-model" and "product" sample the truncation's own model
-    (``tc.model``; a product is a nest with an independence root); "oracle"
-    (Marshall-Olkin, nested with a dependent root, survival, generic) goes
-    through the rejection oracle plus the margin transform.  The route is
-    recorded as ``meta["method"]``.
+    "oracle" (Marshall-Olkin, nested with a dependent root, survival,
+    generic) goes through the rejection oracle plus the margin transform.
+    Every other route samples the truncation's own model, ``tc.model``: the
+    tilted Archimedean copula ("tilted-frailty"), a closed model
+    ("closed-model"), or the nest with an independence root ("product").
+    The route is recorded as ``meta["method"]``, the form as ``meta["form"]``.
     """
     if not isinstance(tc, TruncatedCopula):
         raise TypeError("sample_truncated expects a TruncatedCopula")
     n = _rows_wanted(n)
-    if tc.route == "tilted-frailty":
-        sm = sample_archimedean(tc.tilted, tc.d, n, rng)
-    elif tc.route == "oracle":
+    if tc.route == "oracle":
         raw = oracle_sample(tc.source, tc.point, n, rng)
         sm = transform_margins(raw, tc.source, tc.point)
     else:
@@ -281,21 +280,25 @@ def pseudo_observations(data):
     return out
 
 
+def _sorted_runs(v):
+    """The argsort order of v and the start mask of its runs of equal sorted values."""
+    order = np.argsort(v)
+    vs = v[order]
+    first = np.empty(v.size, dtype=bool)
+    first[0] = True
+    np.not_equal(vs[1:], vs[:-1], out=first[1:])
+    return order, first
+
+
 def _average_ranks(x):
-    # tie groups are runs of equal values in stable sorted order; group k spans
-    # the 1-based ranks count[k-1]+1 .. count[k], whose mean is a half-integer,
-    # exact in float64
-    n = x.size
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    np.not_equal(xs[1:], xs[:-1], out=new[1:])
-    dense = np.cumsum(new)
-    count = np.append(np.flatnonzero(new), n)
-    ranks = np.empty(n)
+    # tie group k spans the 1-based ranks count[k-1]+1 .. count[k], whose mean
+    # is a half-integer, exact in float64; the order inside a group is irrelevant
+    order, first = _sorted_runs(x)
+    dense = np.cumsum(first)
+    count = np.append(np.flatnonzero(first), x.size)
+    ranks = np.empty(x.size)
     ranks[order] = 0.5 * (count[dense] + count[dense - 1] + 1)
-    if np.isnan(xs[-1]):  # NaN sorts last
+    if np.isnan(x[order[-1]]):  # NaN sorts last
         ranks[:] = np.nan
     return ranks
 

@@ -186,6 +186,10 @@ def test_raw_sample_of_one_row(tmp_path, model_file):
         ["kendall", "--t", "0.5,0.5", "--n", "100", "--u", "abc"],
         ["cdf", "--u", "1.5,0.5"],
         ["truncate-eval", "--t", "0.5,0.5", "--u", "0.5,-0.2"],
+        # taildep samples only for --q, so without it these are never read
+        ["taildep", "--t", "0.5,0.5", "--method", "oracle"],
+        ["taildep", "--t", "0.5,0.5", "--n", "7"],
+        ["taildep", "--t", "0.5,0.5", "--seed", "3"],
     ],
 )
 def test_out_of_range_flag_is_config_error(tmp_path, model_file, argv, capsys):

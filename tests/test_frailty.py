@@ -10,7 +10,6 @@ from trunca import (
     generator,
     rng_stream,
     sample_frailty,
-    sample_log,
     sample_sibuya,
     sample_stable,
     sample_tilted_sibuya,
@@ -61,34 +60,49 @@ class TestRngStream:
             rng_stream(-1)
 
 
+def frank_frailty(p, seed, n):
+    """Base frailty of Frank(theta) with 1 - e^-theta = p: the log-series law Log(p)."""
+    return sample_frailty(generator("frank", -np.log1p(-p)), 0.0, rng_stream(seed), size=n)
+
+
 class TestLogSeries:
     def test_tiny_p_returns_one(self):
         # P(V >= 2) ~ p/2, so at p = 1e-8 a batch of 1e5 draws is all ones
-        v = np.asarray(sample_log(1e-8, rng_stream(0), size=100_000))
+        v = frank_frailty(1e-8, 0, 100_000)
         assert np.all(v == 1.0)
 
     def test_atom_one_probability(self):
         n = 200_000
-        v = np.asarray(sample_log(0.5, rng_stream(1), size=n))
+        v = frank_frailty(0.5, 1, n)
         p1 = 0.5 / np.log(2.0)
         se = np.sqrt(p1 * (1 - p1) / n)
         assert abs((v == 1).mean() - p1) <= 3 * se
 
     def test_mean(self):
         n = 200_000
-        v = np.asarray(sample_log(0.9, rng_stream(2), size=n))
+        v = frank_frailty(0.9, 2, n)
         mean = 0.9 / (0.1 * (-np.log(0.1)))
         assert abs(v.mean() - mean) <= 3 * v.std(ddof=1) / np.sqrt(n)
 
     def test_pmf_chi2(self):
-        v = np.asarray(sample_log(0.8, rng_stream(3), size=200_000))
+        v = frank_frailty(0.8, 3, 200_000)
         assert chi2_gof(v, log_pmf(0.8, 20))
 
+    def test_p_near_one(self):
+        # Frank(13.8): the atom at 1 shrinks to p / -log(1 - p) and the mean
+        # p / ((1 - p) (-log(1 - p))) grows to 7.2e4
+        n = 200_000
+        p = 1.0 - 1e-6
+        v = frank_frailty(p, 4, n)
+        p1 = p / -np.log1p(-p)
+        assert abs((v == 1).mean() - p1) <= 3 * np.sqrt(p1 * (1 - p1) / n)
+        mean = p / ((1.0 - p) * -np.log1p(-p))
+        assert abs(v.mean() - mean) <= 3 * v.std(ddof=1) / np.sqrt(n)
+
     def test_domain(self):
+        # Frank(40) has p = 1 - e^-40, which rounds to 1 in float64
         with pytest.raises(ValueError):
-            sample_log(0.0, rng_stream(0))
-        with pytest.raises(ValueError):
-            sample_log(1.0, rng_stream(0))
+            sample_frailty(generator("frank", 40.0), 0.0, rng_stream(0), size=1)
 
 
 class TestSibuya:
@@ -118,7 +132,7 @@ class TestSibuya:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            sample_sibuya(0.0, rng_stream(0))
+            sample_sibuya(0.0, rng_stream(0), size=1)
 
 
 class TestTiltedSibuya:
@@ -167,11 +181,11 @@ class TestTiltedSibuya:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            sample_tilted_sibuya(0.5, 1.0, rng_stream(0))
+            sample_tilted_sibuya(0.5, 1.0, rng_stream(0), size=1)
         with pytest.raises(ValueError):
-            sample_tilted_sibuya(1.5, 0.5, rng_stream(0))
+            sample_tilted_sibuya(1.5, 0.5, rng_stream(0), size=1)
         with pytest.raises(ValueError):
-            sample_tilted_sibuya(0.5, 0.5, rng_stream(0), branch="bogus")
+            sample_tilted_sibuya(0.5, 0.5, rng_stream(0), size=1, branch="bogus")
 
 
 class TestStable:
@@ -335,11 +349,6 @@ class TestFrailtyDispatch:
         a = np.asarray(sample_frailty(generator("joe", 2.0), 0.7, rng_stream(25), size=1000))
         b = np.asarray(sample_frailty(generator("joe", 2.0), 0.7, rng_stream(25), size=1000))
         assert np.array_equal(a, b)
-
-    def test_scalar_convention(self):
-        x = sample_frailty(generator("clayton", 2.0), 0.0, rng_stream(26))
-        assert isinstance(x, float)
-
 
 def test_tilted_sibuya_log_acceptance_identity():
     # the log-branch acceptance probability equals V p_V / alpha via Gamma ratios

@@ -85,18 +85,19 @@ class TestPseudoObservations:
 
 class TestSampleArchimedean:
     def test_independence_generator_gives_uniforms(self):
-        sm = sample_archimedean(generator("independence"), 2, 50_000, rng_stream(1))
-        tau = empirical_kendall_tau(sm)
-        assert abs(tau) <= 3 * tau_se(sm.n)
-        assert kstest(sm.data[:, 0], "uniform").pvalue > 0.01
+        u = sample_archimedean(generator("independence"), 2, 50_000, rng_stream(1))
+        assert u.shape == (50_000, 2)
+        tau = empirical_kendall_tau(u)
+        assert abs(tau) <= 3 * tau_se(len(u))
+        assert kstest(u[:, 0], "uniform").pvalue > 0.01
 
     def test_clayton_tau(self):
-        sm = sample_archimedean(generator("clayton", 2.0), 2, 100_000, rng_stream(2))
-        assert abs(empirical_kendall_tau(sm) - 0.5) <= 3 * tau_se(sm.n)
+        u = sample_archimedean(generator("clayton", 2.0), 2, 100_000, rng_stream(2))
+        assert abs(empirical_kendall_tau(u) - 0.5) <= 3 * tau_se(len(u))
 
     def test_tilted_clayton_same_tau(self):
-        sm = sample_archimedean(generator("clayton", 2.0).tilt(6.0), 2, 100_000, rng_stream(3))
-        assert abs(empirical_kendall_tau(sm) - 0.5) <= 3 * tau_se(sm.n)
+        u = sample_archimedean(generator("clayton", 2.0).tilt(6.0), 2, 100_000, rng_stream(3))
+        assert abs(empirical_kendall_tau(u) - 0.5) <= 3 * tau_se(len(u))
 
 
 class TestSampleNested:
@@ -112,21 +113,23 @@ class TestSampleNested:
         m = NestedArchimedeanCopula(
             generator(fam, th0), [(generator(fam, th0), 1), (generator(fam, th1), 2)]
         )
-        sm = sample_nested(m, 100_000, rng_stream(6))
-        se = tau_se(sm.n)
-        assert abs(empirical_kendall_tau(sm, 0, 1) - 0.5) <= 3 * se
-        assert abs(empirical_kendall_tau(sm, 0, 2) - 0.5) <= 3 * se
-        assert abs(empirical_kendall_tau(sm, 1, 2) - 0.75) <= 3 * se
+        u = sample_nested(m, 100_000, rng_stream(6))
+        assert u.shape == (100_000, 3)
+        se = tau_se(len(u))
+        assert abs(empirical_kendall_tau(u, 0, 1) - 0.5) <= 3 * se
+        assert abs(empirical_kendall_tau(u, 0, 2) - 0.5) <= 3 * se
+        assert abs(empirical_kendall_tau(u, 1, 2) - 0.75) <= 3 * se
 
     def test_independence_root(self):
         m = NestedArchimedeanCopula(
             generator("independence"),
             [(generator("clayton", 2.0), 2), (generator("gumbel", 3.0), 1)],
         )
-        sm = sample_nested(m, 50_000, rng_stream(7))
-        se = tau_se(sm.n)
-        assert abs(empirical_kendall_tau(sm, 0, 1) - 0.5) <= 3 * se
-        assert abs(empirical_kendall_tau(sm, 0, 2)) <= 3 * se
+        u = sample_nested(m, 50_000, rng_stream(7))
+        assert u.shape == (50_000, 3)
+        se = tau_se(len(u))
+        assert abs(empirical_kendall_tau(u, 0, 1) - 0.5) <= 3 * se
+        assert abs(empirical_kendall_tau(u, 0, 2)) <= 3 * se
 
     def test_unsupported_stack(self):
         m = NestedArchimedeanCopula(
