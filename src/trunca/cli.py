@@ -138,7 +138,8 @@ def build_parser():
 
     sp = sub.add_parser("oracle-compare", help="fast path vs rejection oracle, sup distance")
     _add_common(sp)
-    sp.add_argument("--threshold", type=float, default=0.015, help="pass/fail sup-distance threshold")
+    sp.add_argument("--threshold", type=float,
+                    help="pass/fail sup-distance threshold (default 0.015 * sqrt(1e5 / n))")
 
     sp = sub.add_parser("figure-data", help="write the CSV panels behind the sample figures")
     sp.add_argument("--figure", required=True, choices=sorted(FIGURES))
@@ -348,13 +349,15 @@ def cmd_oracle_compare(args):
     dist = empirical_copula_distance(fast, orc)
     rate = raw.meta["accept_rate"]
     se = np.sqrt(tp.c_of_t * (1.0 - tp.c_of_t) / raw.meta["proposals"])
+    # the sup distance between two samples shrinks like 1/sqrt(n): 0.015 at n = 1e5
+    threshold = 0.015 * np.sqrt(1e5 / args.n) if args.threshold is None else args.threshold
     payload = {
         "schema": SCHEMA,
         "t": tp.t.tolist(),
         "n": args.n,
         "sup_distance": dist,
-        "threshold": args.threshold,
-        "pass": bool(dist <= args.threshold),
+        "threshold": threshold,
+        "pass": bool(dist <= threshold),
         "accept_rate": rate,
         "c_of_t": tp.c_of_t,
         "accept_rate_z": float((rate - tp.c_of_t) / se) if se > 0 else 0.0,

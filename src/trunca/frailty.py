@@ -4,11 +4,14 @@ Every Archimedean generator is the Laplace-Stieltjes transform of a frailty
 law F; tilting the generator by h reweights F by ``e^{-h v}`` (normalized by
 ``psi(h)``).  This module holds the laws only and imports nothing from the
 rest of the package: each generator class picks its law in ``_frailty``.
-numpy supplies the gamma, geometric and log-series laws
-(``Generator.logseries``); this module adds the Sibuya law and its tilt (a
-two-envelope rejection with overall constant below 1/(1 - 1/e) ~ 1.582), and
-the positive stable law and its exponential tilt (a fast rejection over
-m ~ h^alpha summands).
+numpy supplies the gamma and geometric laws.  Mixtures of geometric laws,
+``V = ceil(E / -log Q)`` for a random ``Q`` (``_geometric``), give the
+log-series law of Frank (``Q = 1 - (1 - p)^U``) and the Sibuya law
+(``Q = 1 - P``, ``P ~ Beta(alpha, 1 - alpha)``) in O(1) work per draw.  This
+module adds the Sibuya law and its tilt (a two-envelope rejection with
+overall constant below 1/(1 - 1/e) ~ 1.582), and the positive stable law and
+its exponential tilt (a fast rejection over m ~ h^alpha summands).  It needs
+numpy only.
 
 Every sampler takes the number of draws ``size`` and returns an array of that
 length.  Discrete samplers return integer-valued float arrays: Sibuya
@@ -50,68 +53,53 @@ def rng_stream(seed, stream=0):
 _SIB_MAX = 1e300
 
 
-def _sibuya_log_sf(k, alpha):
-    # log P(V > k) = log prod_{i<=k}(1 - alpha/i), a Gamma-function ratio;
-    # past k ~ 1e8 the direct gammaln difference drowns in rounding, so switch
-    # to the ratio's asymptotic expansion (error O(k^-2))
-    from scipy.special import gammaln  # imported here: only Sibuya laws need it
+def _geometric(log_q, rng):
+    """Geometric draws on {1, 2, ...} with P(V > k) = q^k, one per entry of ``log_q``.
 
-    k = np.asarray(k, dtype=float)
-    small = k < 1e8
-    ks = np.where(small, k, 1.0)
-    exact = gammaln(ks + 1.0 - alpha) - gammaln(ks + 1.0)
-    kl = np.where(small, 1.0, k)
-    asym = -alpha * np.log(kl) + np.log1p(alpha * (alpha - 1.0) / (2.0 * kl))
-    return np.where(small, exact, asym) - gammaln(1.0 - alpha)
+    ``V = ceil(E / -log q)`` with E unit exponential: O(1) work per draw for
+    any q.  ``log q = -inf`` (q = 0) gives 1; a q that rounds to 1 gives the
+    cap ``_SIB_MAX``.
+    """
+    with np.errstate(divide="ignore"):
+        v = np.ceil(rng.standard_exponential(log_q.size) / -log_q)
+    return np.clip(v, 1.0, _SIB_MAX)
+
+
+def _sibuya_log_q(alpha, rng, size):
+    # log(1 - P) for P ~ Beta(alpha, 1 - alpha), whose point mass at 1 is the
+    # alpha = 1 limit; rng.beta itself can return exactly 1 (alpha = 0.9)
+    if alpha == 1.0:
+        return np.full(size, -np.inf)
+    with np.errstate(divide="ignore"):
+        return np.log1p(-rng.beta(alpha, 1.0 - alpha, size))
 
 
 def sample_sibuya(alpha, rng, size):
-    """Sibuya(alpha) draws by survival-function inversion in log space.
+    """Sibuya(alpha) draws as a Beta mixture of geometric laws.
 
-    P(V > k) = prod_{i=1..k}(1 - alpha/i); given U uniform, the smallest k
-    with P(V > k) < U is located by exponential then binary search, O(log V)
-    work per draw even though V has infinite mean.
+    P(V > k) = prod_{i=1..k}(1 - alpha/i) = E[(1 - P)^k] for
+    P ~ Beta(alpha, 1 - alpha), so V given P is geometric with success
+    probability P: one beta and one exponential draw, O(1) work per draw
+    even though V has infinite mean.  Draws are capped at ``_SIB_MAX``
+    (1e300), reached only where P underflows; alpha = 1 gives ones.
     """
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("Sibuya exponent alpha must lie in (0, 1]")
     n = int(size)
-    u = rng.random(n)
-    if alpha == 1.0:
-        return np.ones(n)
-    logu = np.log(np.clip(u, 1e-300, None))
-
-    hi = np.ones(n)
-    act = np.where(_sibuya_log_sf(hi, alpha) >= logu)[0]
-    while act.size:
-        hi[act] = np.minimum(hi[act] * 2.0, _SIB_MAX)
-        still = _sibuya_log_sf(hi[act], alpha) >= logu[act]
-        still &= hi[act] < _SIB_MAX  # cap: P(V > 1e300) is negligible
-        act = act[still]
-
-    lo = np.where(hi > 1.0, hi / 2.0, 0.0)
-    act = np.where(hi - lo > 1.0)[0]
-    while act.size:
-        mid = np.floor(0.5 * (lo[act] + hi[act]))
-        # beyond 2**53 midpoints can pin to an endpoint; accept hi there
-        stuck = (mid <= lo[act]) | (mid >= hi[act])
-        dec = _sibuya_log_sf(mid, alpha) < logu[act]
-        new_hi = np.where(stuck, hi[act], np.where(dec, mid, hi[act]))
-        new_lo = np.where(stuck, new_hi, np.where(dec, lo[act], mid))
-        hi[act] = new_hi
-        lo[act] = new_lo
-        act = act[new_hi - new_lo > 1.0]
-    return hi
+    return _geometric(_sibuya_log_q(alpha, rng, n), rng)
 
 
 def sample_tilted_sibuya(alpha, p, rng, size, branch="auto", return_stats=False):
     """Exponentially tilted Sibuya draws: pmf p^k Sib(alpha)-pmf(k), normalized.
 
     Two rejection envelopes: propose Sibuya(alpha) and thin by p^(V-1), or
-    propose Log(p) and thin by prod_{j<V}(1 - alpha/j).  ``branch="auto"``
-    picks the envelope with the smaller rejection constant (the selection
-    rule p <= -alpha log(1-p)), keeping the constant below
-    1/(1 - 1/e) ~ 1.582 overall.  ``return_stats`` additionally returns
+    propose Log(p) and thin by prod_{j<V}(1 - alpha/j) = E[(1 - P)^(V-1)],
+    P ~ Beta(alpha, 1 - alpha): V = 1 is accepted outright and V > 1 against
+    one beta draw, so every proposal costs O(1).  ``branch="auto"`` picks
+    the envelope with the smaller rejection constant (the selection rule
+    p <= -alpha log(1-p)), keeping the constant below 1/(1 - 1/e) ~ 1.582
+    overall.  ``return_stats`` additionally returns
     (n_accepted, n_proposals).
     """
     alpha = float(alpha)
@@ -134,18 +122,17 @@ def sample_tilted_sibuya(alpha, p, rng, size, branch="auto", return_stats=False)
     logp = np.log(p)
     while pending.size:
         k = pending.size
-        if use_sibuya:
-            v = sample_sibuya(alpha, rng, size=k)
-            log_acc = (v - 1.0) * logp
-        else:
-            v = rng.logseries(p, size=k).astype(float)
-            from scipy.special import gammaln
-
-            # log prod_{j=1}^{v-1}(1 - alpha/j)
-            log_acc = gammaln(v - alpha) - gammaln(1.0 - alpha) - gammaln(v)
-        u = rng.random(k)
         with np.errstate(divide="ignore"):
-            acc = np.log(u) <= log_acc
+            if use_sibuya:
+                v = sample_sibuya(alpha, rng, size=k)
+                acc = np.log(rng.random(k)) <= (v - 1.0) * logp
+            else:
+                v = rng.logseries(p, size=k).astype(float)
+                logu = np.log(rng.random(k))
+                # no beta draw at V = 1, where 0 * log(1 - P) would be NaN at P = 1
+                acc = v == 1.0
+                big = np.flatnonzero(~acc)
+                acc[big] = logu[big] <= (v[big] - 1.0) * _sibuya_log_q(alpha, rng, big.size)
         out[pending[acc]] = v[acc]
         proposals += k
         pending = pending[~acc]

@@ -2,8 +2,8 @@
 
 A family class carries the three facts truncation needs together: ``psi``
 (with its inverse and derivatives), the frailty law tilted by ``e^{-hv}``
-(``_frailty``, which picks numpy's gamma, geometric or log-series law, or one
-of the laws in ``frailty``) and its analytic tail coefficients
+(``_frailty``, which picks numpy's gamma or geometric law, or one of the
+laws in ``frailty``) and its analytic tail coefficients
 (``_tail_pair``).
 
 A generator ``psi`` maps ``[0, inf)`` onto ``(0, 1]`` with ``psi(0) = 1``,
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frailty import sample_sibuya, sample_tilted_sibuya, sample_tilted_stable
+from .frailty import _geometric, sample_sibuya, sample_tilted_sibuya, sample_tilted_stable
 
 __all__ = [
     "Generator",
@@ -331,10 +331,11 @@ class FrankGenerator(Generator):
         return z - log1mexp(z) - np.log(self.theta)
 
     def _frailty(self, h, rng, n):
-        # Log(p) tilts to Log(p e^{-h}); numpy raises ValueError where p rounds
-        # to 1 (theta above about 37.4 at h = 0)
-        p = -np.expm1(-self.theta) * np.exp(-h)
-        return rng.logseries(p, size=n).astype(float)
+        # Log(p) tilts to Log(p e^{-h}), geometric given Q = 1 - (1 - p)^U; the
+        # log of 1 - p = e^{-h}(e^h - 1 + e^{-theta}) is exactly -theta at h = 0,
+        # where p itself rounds to 1 for theta above about 37.4
+        log_r = np.logaddexp(log1mexp(-h), -self.theta - h)
+        return _geometric(log1mexp(rng.random(n) * log_r), rng)
 
 
 class GumbelGenerator(Generator):

@@ -259,6 +259,8 @@ def test_lazy_scipy_commands_in_fresh_process(tmp_path, model_file):
     runs = [
         ["kendall", "--model", model_file(CLAYTON), "--t", "0.5,0.5", "--n", "500", "--out", "k.json"],
         ["taildep", "--model", joe, "--t", "0.5,0.5", "--n", "2000", "--q", "0.05", "--out", "td.json"],
+        ["sample", "--model", joe, "--t", "0.5,0.5", "--n", "500", "--out", "s.csv"],
+        ["oracle-compare", "--model", joe, "--t", "0.5,0.5", "--n", "500", "--out", "oc.json"],
     ]
     loaded = {}
     for argv in runs:
@@ -270,8 +272,8 @@ def test_lazy_scipy_commands_in_fresh_process(tmp_path, model_file):
         )
         assert proc.returncode == 0, proc.stderr
         loaded[argv[0]] = proc.stdout.strip()
-    # kendall needs no scipy at all; the Joe taildep may load scipy.special
-    assert loaded["kendall"] == "[]"
+    # the Sibuya laws of Joe models are drawn in numpy too
+    assert loaded == dict.fromkeys(loaded, "[]")
     assert -1.0 <= json.loads((tmp_path / "k.json").read_text())["tau"][0][1] <= 1.0
     assert "empirical" in json.loads((tmp_path / "td.json").read_text())
 
@@ -353,6 +355,18 @@ class TestOracleCompare:
         payload = json.loads(out.read_text())
         assert payload["pass"] is True
         assert abs(payload["accept_rate_z"]) < 4.0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_default_threshold_scales_with_n(self, tmp_path, model_file, seed):
+        # at the default n = 1000 a sup distance of 0.03-0.04 is sampling noise
+        out = tmp_path / "oc.json"
+        rc = main(["oracle-compare", "--model", model_file(CLAYTON), "--t", "0.5,0.5",
+                   "--seed", str(seed), "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert payload["n"] == 1000
+        assert payload["threshold"] == pytest.approx(0.015 * 10.0)
+        assert payload["pass"] is True
 
     def test_zero_threshold_fails(self, tmp_path, model_file):
         out = tmp_path / "oc.json"

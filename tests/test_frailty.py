@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import gammaln
-from scipy.stats import chi2
+from scipy.stats import binom, chi2, norm
 
 from trunca import (
     Generator,
@@ -99,10 +101,17 @@ class TestLogSeries:
         mean = p / ((1.0 - p) * -np.log1p(-p))
         assert abs(v.mean() - mean) <= 3 * v.std(ddof=1) / np.sqrt(n)
 
-    def test_domain(self):
-        # Frank(40) has p = 1 - e^-40, which rounds to 1 in float64
-        with pytest.raises(ValueError):
-            sample_frailty(generator("frank", 40.0), 0.0, rng_stream(0), size=1)
+    def test_large_theta(self):
+        # Frank(40) and Frank(200) have p = 1 - e^-theta, which rounds to 1 in
+        # float64; the law is still Log(p) with -log(1 - p) = theta
+        n = 200_000
+        for theta in (40.0, 200.0):
+            v = sample_frailty(generator("frank", theta), 0.0, rng_stream(5), size=n)
+            assert np.all(np.isfinite(v)) and np.all(v >= 1.0)
+            k = np.arange(1, 11)
+            pmf = np.exp(k * np.log(-np.expm1(-theta)) - np.log(k)) / theta
+            for prob, emp in ((pmf[0], (v == 1).mean()), (pmf.sum(), (v <= 10).mean())):
+                assert abs(emp - prob) <= 4 * np.sqrt(prob * (1 - prob) / n), theta
 
 
 class TestSibuya:
@@ -133,6 +142,18 @@ class TestSibuya:
     def test_domain(self):
         with pytest.raises(ValueError):
             sample_sibuya(0.0, rng_stream(0), size=1)
+
+    @given(alpha=st.floats(0.05, 0.95), seed=st.integers(0, 2**32))
+    def test_survival_function(self, alpha, seed):
+        # P(V > k) = Gamma(k + 1 - alpha) / (Gamma(1 - alpha) k!), deep into the
+        # tail; exceedance counts there are small, so judge them by exact
+        # binomial tails at the one-sided level of 5 standard errors
+        n = 20_000
+        v = sample_sibuya(alpha, rng_stream(seed), size=n)
+        for k in (1.0, 10.0, 1e3, 1e6, 1e12):
+            sf = math.exp(math.lgamma(k + 1 - alpha) - math.lgamma(k + 1) - math.lgamma(1 - alpha))
+            count = int((v > k).sum())
+            assert min(binom.cdf(count, n, sf), binom.sf(count - 1, n, sf)) > norm.sf(5.0), k
 
 
 class TestTiltedSibuya:
@@ -166,6 +187,17 @@ class TestTiltedSibuya:
         )
         assert acc / prop > 0.99
         assert abs((np.asarray(v) == 1).mean() - 0.5) < 0.006
+
+    def test_log_envelope_beta_at_one(self):
+        # Beta(0.9, 0.1) returns exactly 1 a few percent of the time, where
+        # log(1 - P) = -inf; the accept test must not form 0 * -inf at V = 1
+        assert np.any(rng_stream(30).beta(0.9, 0.1, size=10_000) == 1.0)
+        n = 200_000
+        alpha, p = 0.9, 0.5
+        v = sample_tilted_sibuya(alpha, p, rng_stream(30), size=n, branch="log")
+        assert not np.any(np.isnan(v))
+        p1 = p * alpha / (1.0 - (1.0 - p) ** alpha)
+        assert abs((v == 1).mean() - p1) <= 4 * np.sqrt(p1 * (1 - p1) / n)
 
     def test_branch_consistency(self):
         # both envelopes must yield the same law: two-sample chi-square at 1%
