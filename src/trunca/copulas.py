@@ -179,7 +179,8 @@ def _columnwise(op, block):
     Several times faster than numpy's row-by-row reduction of a short last
     axis, and bitwise equal to it up to 7 columns (numpy's sum unrolls from 8).
     """
-    out = block[..., 0].copy()
+    # numpy's sum starts from +0, so columns of -0 sum to +0
+    out = block[..., 0] + 0.0 if op is np.add else block[..., 0].copy()
     for j in range(1, block.shape[-1]):
         op(out, block[..., j], out=out)
     return out

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frailty import _geometric, sample_sibuya, sample_tilted_sibuya, sample_tilted_stable
+from .frailty import _geometric, _tilted_sibuya, sample_sibuya, sample_tilted_sibuya, sample_tilted_stable
 
 __all__ = [
     "Generator",
@@ -442,7 +442,11 @@ class JoeGenerator(Generator):
             return np.ones(n)
         if h == 0.0:
             return sample_sibuya(1.0 / self.theta, rng, size=n)
-        return sample_tilted_sibuya(1.0 / self.theta, np.exp(-h), rng, size=n)
+        p = np.exp(-h)
+        if p == 1.0:
+            # a tilt below ~1.1e-16 rounds e^{-h} to 1: thin by log p = -h itself
+            return _tilted_sibuya(1.0 / self.theta, p, -h, rng, n)[0]
+        return sample_tilted_sibuya(1.0 / self.theta, p, rng, size=n)
 
     def _tail_pair(self, alpha=1.0):
         return super()._tail_pair(alpha * (1.0 / self.theta))

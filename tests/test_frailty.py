@@ -1,8 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 from scipy.stats import binom, chi2, norm
@@ -17,6 +18,8 @@ from trunca import (
     sample_tilted_sibuya,
     sample_tilted_stable,
 )
+from trunca import frailty
+from trunca.frailty import _double_rejection
 
 
 def sibuya_pmf(alpha, kmax):
@@ -256,18 +259,91 @@ class TestTiltedStable:
             target = np.exp(-((t + h) ** alpha - h**alpha))
             assert abs(w.mean() - target) <= 4 * se
 
-    def test_summand_rule(self):
-        # the splitting count tracks h^alpha; the Gumbel(2) tilt at C(t)=0.3
-        # has h^alpha ~ 1.204, i.e. a single summand
-        assert max(1.0, np.round(1.44955**0.5)) == 1.0
+    def test_crossover(self, monkeypatch):
+        # tilts lambda = h^alpha below 1.5 (round(lambda) = 1) take fast
+        # rejection, which proposes stable variates; from 1.5 up, rows take
+        # double rejection and never call sample_stable
+        proposed = []
+        stable = frailty.sample_stable
+
+        def counted(alpha, rng, size):
+            proposed.append(size)
+            return stable(alpha, rng, size)
+
+        monkeypatch.setattr(frailty, "sample_stable", counted)
+        below = np.full(1000, 1.49**2)
+        sample_tilted_stable(0.5, np.append(below, 2.25), rng_stream(32), size=1001)
+        assert sum(proposed) >= 1000
+        proposed.clear()
+        s = sample_tilted_stable(0.5, np.full(1000, 1.5**2), rng_stream(32), size=1000)
+        assert proposed == [] and np.all(s > 0)
+
+    def test_fast_rows_bitwise(self):
+        # rows with lambda < 1.5 (and untilted rows) are drawn first by the same
+        # calls as before double rejection existed: digests taken from the
+        # summand-splitting sampler
+        def digest(a):
+            return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+        s = sample_tilted_stable(0.5, 1.44955, rng_stream(30), size=2000)
+        assert digest(s) == "5b89f37c6801c1a1"
+        h = np.tile([0.0, 0.5, 1.0, 2.0, 2.25, 9.0], 500)  # lambda = 0, .71, 1, 1.41, 1.5, 3
+        s = sample_tilted_stable(0.5, h, rng_stream(31), size=h.size)
+        assert digest(s[np.sqrt(h) < 1.5]) == "54a62d6951e419ca"
 
     def test_vector_tilts(self):
-        h = np.array([0.0, 1.0, 10.0, 100.0])
-        s = np.asarray(sample_tilted_stable(0.5, np.repeat(h, 20_000), rng_stream(18), size=80_000))
+        # lambda = 0, 1, 1.4 on the fast side of the crossover; 1.5, 3.2, 10, 1e4 past it
+        h = np.array([0.0, 1.0, 1.96, 2.25, 10.0, 100.0, 1e8])
+        s = np.asarray(sample_tilted_stable(0.5, np.repeat(h, 20_000), rng_stream(18), size=140_000))
         assert np.all(s > 0)
         # larger tilt concentrates the law near its (finite) tilted mean
-        means = s.reshape(4, 20_000).mean(axis=1)
+        means = s.reshape(7, 20_000).mean(axis=1)
         assert np.all(np.diff(means) < 0)
+
+    @settings(max_examples=40)
+    @given(
+        alpha=st.floats(0.02, 0.999),
+        log_lam=st.floats(-2.0, 4.0),
+        spread=st.sampled_from([0.0, 1.0, 3.0]),
+        seed=st.integers(0, 2**32),
+    )
+    # near alpha = 1 and lambda = 1.5, 2% of the angle's mass lies in the hat's bin at pi
+    @example(alpha=0.999, log_lam=0.2, spread=0.0, seed=0)
+    @example(alpha=0.99, log_lam=0.5, spread=1.0, seed=1)
+    def test_laplace_transform_property(self, alpha, log_lam, spread, seed):
+        # per-row tilts lambda_i = h_i^alpha up to 1e4 (spread 0: one scalar
+        # tilt); t_i is set so that every row's transform is e^-c
+        n = 20_000
+        rng = rng_stream(seed, stream=1)
+        lam = 10.0 ** np.minimum(log_lam + spread * (rng.random(n) - 0.5), 4.0)
+        h = lam ** (1.0 / alpha)
+        s = sample_tilted_stable(alpha, h[0] if spread == 0.0 else h, rng_stream(seed), size=n)
+        for c in (0.5, 2.0):
+            t = h * np.expm1(np.log1p(c / lam) / alpha)
+            w = np.exp(-t * s)
+            se = w.std(ddof=1) / np.sqrt(n)
+            assert abs(w.mean() - np.exp(-c)) <= 5 * se
+
+    def test_double_rejection_iterations(self):
+        # outer iterations per draw stay bounded in the tilt; 1.1-1.6 observed
+        for alpha in (0.02, 0.3, 0.5, 0.7, 0.9, 0.999):
+            for lam in (1.5, 4.6, 100.0, 1e4):
+                _, outer = _double_rejection(alpha, np.full(5000, lam), rng_stream(33))
+                assert outer / 5000 <= 2.0, (alpha, lam)
+            lam = 1.5 * 10.0 ** (4.0 * rng_stream(34).random(5000))
+            _, outer = _double_rejection(alpha, lam, rng_stream(35))
+            assert outer / 5000 <= 2.0, alpha
+
+    def test_huge_tilt(self):
+        # h^alpha ~ 3.2e6: no summand array, finite positive draws near the
+        # tilted mean alpha h^(alpha - 1)
+        s = sample_tilted_stable(0.5, 1e13, rng_stream(0), size=3)
+        assert np.all(np.isfinite(s)) and np.all(np.abs(s / (0.5 * 1e13**-0.5) - 1.0) < 0.01)
+
+    def test_invalid_tilt(self):
+        for h in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tilt h must be finite and nonnegative"):
+                sample_tilted_stable(0.5, h, rng_stream(0), size=2)
 
 
 # theta ranges per family for property tests, and tilts with exact zeros

@@ -277,6 +277,23 @@ class TestSampleTruncated:
             with pytest.raises(ValueError, match="need n >= 1"):
                 oracle_sample(model, t, 0, rng_stream(20))
 
+    def test_joe_tiny_tilt(self):
+        # t2 = 1 - 2^-53 tilts Joe by h ~ 1.2e-32, where p = e^-h rounds to 1
+        tc = truncate_general(ArchimedeanCopula(generator("joe", 2.0), 2), [1.0, 1 - 2**-53])
+        sm = sample_truncated(tc, 10, rng_stream(0))
+        assert sm.data.shape == (10, 2)
+
+    def test_gumbel_at_c_1e_300(self):
+        # C(t) = 1e-300 tilts Gumbel(2)'s stable frailty by h^alpha = -log C(t) ~ 691
+        m = ArchimedeanCopula(generator("gumbel", 2.0), 2)
+        t = 10.0 ** (-300.0 / np.sqrt(2.0))  # C(t, t) = t^(2^(1/theta))
+        tc = truncate_general(m, [t, t])
+        sm = sample_truncated(tc, 10_000, rng_stream(36))
+        for p in ([0.3, 0.3], [0.5, 0.8], [0.9, 0.2]):
+            c = float(tc.cdf(p))
+            hit = np.all(sm.data <= p, axis=1).mean()
+            assert abs(hit - c) <= 5 * np.sqrt(c * (1 - c) / sm.n)
+
     def test_marginal_uniformity(self):
         m = ArchimedeanCopula(generator("joe", 2.0), 2)
         tc = truncate_general(m, [0.7, 0.6])
