@@ -14,13 +14,13 @@ coefficients follow from partial derivatives of the model CDF instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .copulas import ArchimedeanCopula, TruncationPoint
 from .frailty import rng_stream
-from .sampling import SampleMatrix, _sorted_runs
+from .sampling import _sorted_runs
 
 __all__ = [
     "TailDepReport",
@@ -49,14 +49,7 @@ class TailDepReport:
     converged: bool = True
 
     def to_dict(self):
-        return {
-            "lambda_lower": self.lambda_lower,
-            "lambda_upper": self.lambda_upper,
-            "se_lower": self.se_lower,
-            "se_upper": self.se_upper,
-            "method": self.method,
-            "converged": self.converged,
-        }
+        return asdict(self)
 
 
 def _aitken(seq):
@@ -191,7 +184,7 @@ def empirical_tail_dep(data, q):
     ``_BOOT_SEED`` so repeated calls agree; since both statistics are means
     of row indicators, resampling reduces to exact binomial draws.
     """
-    X = data.data if isinstance(data, SampleMatrix) else np.asarray(data, dtype=float)
+    X = np.asarray(data, dtype=float)
     if X.ndim != 2 or X.shape[1] != 2:
         raise ValueError("empirical tail dependence expects bivariate data")
     n = X.shape[0]
@@ -269,7 +262,7 @@ def empirical_kendall_tau(data, j1=0, j2=1):
     for n up to 6e7.  A constant column has no defined tau and raises; a
     column holding a NaN gives NaN.
     """
-    X = data.data if isinstance(data, SampleMatrix) else np.asarray(data, dtype=float)
+    X = np.asarray(data, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("need an (n, d) array with n >= 2")
     x = X[:, j1]

@@ -90,14 +90,14 @@ def sample_sibuya(alpha, rng, size):
     return _geometric(_sibuya_log_q(alpha, rng, n), rng)
 
 
-def sample_tilted_sibuya(alpha, p, rng, size, branch="auto", return_stats=False):
+def sample_tilted_sibuya(alpha, p, rng, size, return_stats=False):
     """Exponentially tilted Sibuya draws: pmf p^k Sib(alpha)-pmf(k), normalized.
 
     Two rejection envelopes: propose Sibuya(alpha) and thin by p^(V-1), or
     propose Log(p) and thin by prod_{j<V}(1 - alpha/j) = E[(1 - P)^(V-1)],
     P ~ Beta(alpha, 1 - alpha): V = 1 is accepted outright and V > 1 against
-    one beta draw, so every proposal costs O(1).  ``branch="auto"`` picks
-    the envelope with the smaller rejection constant (the selection rule
+    one beta draw, so every proposal costs O(1).  The sampler picks the
+    envelope with the smaller rejection constant (the selection rule
     p <= -alpha log(1-p)), keeping the constant below 1/(1 - 1/e) ~ 1.582
     overall.  ``return_stats`` additionally returns
     (n_accepted, n_proposals).
@@ -108,9 +108,7 @@ def sample_tilted_sibuya(alpha, p, rng, size, branch="auto", return_stats=False)
         raise ValueError("alpha must lie in (0, 1]")
     if not 0.0 < p < 1.0:
         raise ValueError("tilt parameter p = e^{-h} must lie in (0, 1)")
-    if branch not in ("auto", "sibuya", "log"):
-        raise ValueError("branch must be one of 'auto', 'sibuya', 'log'")
-    out, proposals = _tilted_sibuya(alpha, p, np.log(p), rng, int(size), branch)
+    out, proposals = _tilted_sibuya(alpha, p, np.log(p), rng, int(size))
     if return_stats:
         return out, out.size, proposals
     return out
@@ -122,7 +120,7 @@ def _tilted_sibuya(alpha, p, logp, rng, n, branch="auto"):
     A tilt h below about 1.1e-16 rounds p = e^{-h} to 1, yet the thinning
     p^(V-1) = e^{-h (V-1)} still matters in Sibuya's infinite-mean tail, so
     the Sibuya envelope reads log p = -h; ``auto`` never picks the log
-    envelope there.
+    envelope there.  ``branch="sibuya"`` or ``"log"`` forces an envelope.
     """
     if branch == "auto":
         with np.errstate(divide="ignore"):

@@ -4,7 +4,9 @@ A family class carries the three facts truncation needs together: ``psi``
 (with its inverse and derivatives), the frailty law tilted by ``e^{-hv}``
 (``_frailty``, which picks numpy's gamma or geometric law, or one of the
 laws in ``frailty``) and its analytic tail coefficients
-(``_tail_pair``).
+(``_tail_pair``).  Of ``psi`` a family writes ``_log_psi``, ``_psi_inv``,
+``_log_neg_dpsi`` (``log(-psi')``, from which ``psi'`` is derived) and
+``_d2psi``, plus ``_psi`` and ``_tilted_inv`` where they are more exact.
 
 A generator ``psi`` maps ``[0, inf)`` onto ``(0, 1]`` with ``psi(0) = 1``,
 strictly decreasing to 0, and is completely monotone on the stated parameter
@@ -81,13 +83,15 @@ def _scalar_like(out, ref):
 
 
 class Generator:
-    """Base class: evaluation, inversion, two derivatives, tilt, outer power."""
+    """Base class: evaluation, inversion, two derivatives, tilt, outer power.
+
+    ``psi_deriv(t, 1)`` is ``-exp(_log_neg_dpsi(t))``: a family writes psi'
+    once, in log form.  ``_psi`` defaults to ``exp(_log_psi)``.
+    """
 
     family: str = ""
     theta = None
 
-    # subclasses implement the array-valued kernels below; _psi defaults to
-    # exp(_log_psi), which families override where a direct form is more exact
     def _psi(self, t):
         return np.exp(self._log_psi(t))
 
@@ -95,9 +99,6 @@ class Generator:
         raise NotImplementedError
 
     def _psi_inv(self, u):
-        raise NotImplementedError
-
-    def _dpsi(self, t):
         raise NotImplementedError
 
     def _d2psi(self, t):
@@ -129,7 +130,7 @@ class Generator:
             raise ValueError("generator derivatives are implemented for orders 1 and 2 only")
         t = _validated_t(t)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = self._dpsi(t) if order == 1 else self._d2psi(t)
+            out = -np.exp(self._log_neg_dpsi(t)) if order == 1 else self._d2psi(t)
         return _scalar_like(out, t)
 
     def log_neg_psi_deriv(self, t):
@@ -187,9 +188,6 @@ class IndependenceGenerator(Generator):
     def _psi_inv(self, u):
         return -np.log(u)
 
-    def _dpsi(self, t):
-        return -np.exp(-t)
-
     def _d2psi(self, t):
         return np.exp(-t)
 
@@ -221,10 +219,6 @@ class ClaytonGenerator(Generator):
     def _psi_inv(self, u):
         # u^(-theta) - 1
         return np.expm1(-self.theta * np.log(u))
-
-    def _dpsi(self, t):
-        ith = 1.0 / self.theta
-        return -ith * np.exp(-(ith + 1.0) * np.log1p(t))
 
     def _d2psi(self, t):
         ith = 1.0 / self.theta
@@ -266,11 +260,6 @@ class AMHGenerator(Generator):
     def _psi_inv(self, u):
         # log((1 - theta (1 - u)) / u)
         return np.log1p(-self.theta * (1.0 - u)) - np.log(u)
-
-    def _dpsi(self, t):
-        th = self.theta
-        et = np.exp(-t)
-        return -(1.0 - th) * et / np.square(1.0 - th * et)
 
     def _d2psi(self, t):
         th = self.theta
@@ -318,10 +307,6 @@ class FrankGenerator(Generator):
         # log(p) - log(1 - e^(-theta u))
         return self._log_p - log1mexp(-self.theta * u)
 
-    def _dpsi(self, t):
-        z = self._log_p - t
-        return -np.exp(z - log1mexp(z)) / self.theta
-
     def _d2psi(self, t):
         z = self._log_p - t
         return np.exp(z - 2.0 * log1mexp(z)) / self.theta
@@ -354,13 +339,6 @@ class GumbelGenerator(Generator):
 
     def _psi_inv(self, u):
         return np.power(-np.log(u), self.theta)
-
-    def _dpsi(self, t):
-        ith = 1.0 / self.theta
-        if ith == 1.0:
-            return -np.exp(-t)
-        s = np.power(t, ith)
-        return -ith * np.power(t, ith - 1.0) * np.exp(-s)
 
     def _d2psi(self, t):
         ith = 1.0 / self.theta
@@ -414,13 +392,6 @@ class JoeGenerator(Generator):
     def _psi_inv(self, u):
         # -log(1 - (1-u)^theta)
         return -log1mexp(self.theta * np.log1p(-u))
-
-    def _dpsi(self, t):
-        ith = 1.0 / self.theta
-        if ith == 1.0:
-            return -np.exp(-t)
-        lw = log1mexp(-t)
-        return -ith * np.exp((ith - 1.0) * lw - t)
 
     def _d2psi(self, t):
         ith = 1.0 / self.theta
@@ -491,9 +462,6 @@ class TiltedGenerator(Generator):
             out = self.base.psi_inv(self.psi_h * u) - self.h
         return np.maximum(out, 0.0)
 
-    def _dpsi(self, t):
-        return self.base.psi_deriv(t + self.h, 1) / self.psi_h
-
     def _d2psi(self, t):
         return self.base.psi_deriv(t + self.h, 2) / self.psi_h
 
@@ -540,6 +508,7 @@ class OuterPowerGenerator(Generator):
         return self.base.theta
 
     def _psi(self, t):
+        # the base's own psi: Frank's and Joe's are more exact than exp(log_psi)
         return self.base.psi(np.power(t, self.alpha))
 
     def _log_psi(self, t):
@@ -547,11 +516,6 @@ class OuterPowerGenerator(Generator):
 
     def _psi_inv(self, u):
         return np.power(self.base.psi_inv(u), 1.0 / self.alpha)
-
-    def _dpsi(self, t):
-        a = self.alpha
-        s = np.power(t, a)
-        return self.base.psi_deriv(s, 1) * a * np.power(t, a - 1.0)
 
     def _d2psi(self, t):
         a = self.alpha
@@ -561,12 +525,10 @@ class OuterPowerGenerator(Generator):
         return first + second
 
     def _log_neg_dpsi(self, t):
+        # psi'(t^alpha) alpha t^(alpha - 1); the power is 1 at alpha = 1, also at t = 0
         a = self.alpha
-        return (
-            self.base.log_neg_psi_deriv(np.power(t, a))
-            + np.log(a)
-            + (a - 1.0) * np.log(t)
-        )
+        log_power = (a - 1.0) * np.log(t) if a != 1.0 else 0.0
+        return self.base.log_neg_psi_deriv(np.power(t, a)) + np.log(a) + log_power
 
     def _tilted_inv(self, h, u):
         # (h^alpha + D)^(1/alpha) - h with D the base tilted inverse at h^alpha

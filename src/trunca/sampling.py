@@ -69,6 +69,9 @@ class SampleMatrix:
         if np.any(np.isnan(self.data)) or np.any(self.data < 0) or np.any(self.data > 1):
             raise ValueError("sample entries must lie in [0, 1]")
 
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.data, dtype=dtype, copy=copy)
+
     @property
     def n(self):
         return self.data.shape[0]
@@ -107,7 +110,7 @@ def sample_nested(model, n, rng):
     """
     if not isinstance(model, NestedArchimedeanCopula):
         raise TypeError("sample_nested expects a NestedArchimedeanCopula")
-    n = int(n)
+    n = _rows_wanted(n)
     out = np.empty((n, model.d))
     root = model.root
     if isinstance(root, IndependenceGenerator):
@@ -144,7 +147,7 @@ def sample_nested(model, n, rng):
 
 def sample_model(model, n, rng):
     """n rows from an (untruncated) model, as a plain array."""
-    n = int(n)
+    n = _rows_wanted(n)
     if isinstance(model, IndependenceCopula):
         return rng.random((n, model.d))
     if isinstance(model, ComonotoneCopula):
@@ -166,21 +169,20 @@ def sample_model(model, n, rng):
     raise TypeError(f"no sampler for model type {type(model).__name__}")
 
 
-def oracle_sample(model, t, n, rng, max_tries=None):
+def oracle_sample(model, t, n, rng):
     """The generic rejection sampler: draw U ~ model until U <= t, n times.
 
     Returns conditional rows on the *original* scale (inside [0, t]); map
     them through :func:`transform_margins` to reach the truncated copula
     scale.  Each pass proposes min(1.25 need, need + 3 sqrt(need)) / C(t)
     rows (clipped to [1024, 4e6]) for the ``need`` rows still missing, about
-    (1 + 3/sqrt(n)) / C(t) proposals per kept row; the default budget is
+    (1 + 3/sqrt(n)) / C(t) proposals per kept row.  The budget is
     100 n / C(t) proposals, after which a diagnostic error reports the
     observed acceptance rate against C(t).
     """
     n = _rows_wanted(n)
     tp = TruncationPoint.make(model, t)
-    if max_tries is None:
-        max_tries = int(np.ceil(100.0 * n / tp.c_of_t))
+    max_tries = int(np.ceil(100.0 * n / tp.c_of_t))
     chunks = []
     kept = 0
     proposals = 0
@@ -225,7 +227,7 @@ def transform_margins(raw, model, t):
     The output rows follow the truncated copula itself.
     """
     tp = TruncationPoint.make(model, t)
-    X = raw.data if isinstance(raw, SampleMatrix) else np.asarray(raw, dtype=float)
+    X = np.asarray(raw, dtype=float)
     if np.any(X > tp.t + 1e-9) or np.any(X < 0):
         raise ValueError("rows must lie inside [0, t]")
     cols = [
@@ -268,7 +270,7 @@ def pseudo_observations(data):
     method="average")``, ties included: tied entries share the mean of the
     ranks they span, and a column holding a NaN ranks as all NaN.
     """
-    X = data.data if isinstance(data, SampleMatrix) else np.asarray(data, dtype=float)
+    X = np.asarray(data, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("pseudo-observations require at least two rows")
     ranks = np.column_stack([_average_ranks(X[:, j]) for j in range(X.shape[1])])
@@ -309,8 +311,8 @@ def empirical_copula_distance(a, b):
     The grid uses cell midpoints (2k-1)/(2L), which cannot collide with rank
     grids i/(n+1); cumulative counts come from a d-dimensional histogram.
     """
-    A = a.data if isinstance(a, SampleMatrix) else np.asarray(a, dtype=float)
-    B = b.data if isinstance(b, SampleMatrix) else np.asarray(b, dtype=float)
+    A = np.asarray(a, dtype=float)
+    B = np.asarray(b, dtype=float)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
         raise ValueError("samples must be (n, d) arrays of equal dimension")
     d = A.shape[1]
@@ -345,13 +347,5 @@ def write_csv(sm, path):
 def write_meta(sm, path):
     """JSON sidecar with the sample's provenance metadata."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sm.meta, fh, indent=2, sort_keys=True, default=_jsonable)
+        json.dump(sm.meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer, np.floating)):
-        return obj.item()
-    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")

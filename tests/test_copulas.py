@@ -25,6 +25,7 @@ from trunca import (
     pseudo_observations,
     rng_stream,
     sample_archimedean,
+    sample_model,
     sample_nested,
     sample_truncated,
     survival,
@@ -250,6 +251,16 @@ class TestTruncateDispatch:
             tb = truncate_general(m, t, method="bisect")
             pts = rng.random((300, m.d))
             assert np.max(np.abs(tc.cdf(pts) - tb.cdf(pts))) <= 1e-9, name
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_sample_model_needs_a_row(self, n):
+        # every model sampler checks n the same way, before drawing anything
+        for name, (m, _) in model_zoo().items():
+            with pytest.raises(ValueError, match="need n >= 1"):
+                sample_model(m, n, rng_stream(0))
+            if isinstance(m, NestedArchimedeanCopula):
+                with pytest.raises(ValueError, match="need n >= 1"):
+                    sample_nested(m, n, rng_stream(0))
 
     @settings(max_examples=5)
     @given(ts=ZOO_THRESHOLDS)

@@ -183,11 +183,10 @@ class TestTiltedSibuya:
         assert acc / prop >= 1.0 / 1.5820 - 0.01
 
     def test_near_one_p_sibuya_branch(self):
-        # acceptance p^(V-1) -> 1 and the law approaches plain Sibuya(alpha)
+        # acceptance p^(V-1) -> 1 and the law approaches plain Sibuya(alpha);
+        # the automatic choice takes the Sibuya envelope at this p
         p = 1.0 - 1e-6
-        v, acc, prop = sample_tilted_sibuya(
-            0.5, p, rng_stream(11), size=100_000, branch="sibuya", return_stats=True
-        )
+        v, acc, prop = sample_tilted_sibuya(0.5, p, rng_stream(11), size=100_000, return_stats=True)
         assert acc / prop > 0.99
         assert abs((np.asarray(v) == 1).mean() - 0.5) < 0.006
 
@@ -197,7 +196,7 @@ class TestTiltedSibuya:
         assert np.any(rng_stream(30).beta(0.9, 0.1, size=10_000) == 1.0)
         n = 200_000
         alpha, p = 0.9, 0.5
-        v = sample_tilted_sibuya(alpha, p, rng_stream(30), size=n, branch="log")
+        v = frailty._tilted_sibuya(alpha, p, np.log(p), rng_stream(30), n, "log")[0]
         assert not np.any(np.isnan(v))
         p1 = p * alpha / (1.0 - (1.0 - p) ** alpha)
         assert abs((v == 1).mean() - p1) <= 4 * np.sqrt(p1 * (1 - p1) / n)
@@ -205,8 +204,8 @@ class TestTiltedSibuya:
     def test_branch_consistency(self):
         # both envelopes must yield the same law: two-sample chi-square at 1%
         n = 200_000
-        a = np.asarray(sample_tilted_sibuya(0.5, 0.51, rng_stream(12), size=n, branch="sibuya"))
-        b = np.asarray(sample_tilted_sibuya(0.5, 0.51, rng_stream(13), size=n, branch="log"))
+        a = frailty._tilted_sibuya(0.5, 0.51, np.log(0.51), rng_stream(12), n, "sibuya")[0]
+        b = frailty._tilted_sibuya(0.5, 0.51, np.log(0.51), rng_stream(13), n, "log")[0]
         edges = list(range(1, 11))
         oa = np.array([(a == k).sum() for k in edges] + [(a > 10).sum()], dtype=float)
         ob = np.array([(b == k).sum() for k in edges] + [(b > 10).sum()], dtype=float)
@@ -219,8 +218,6 @@ class TestTiltedSibuya:
             sample_tilted_sibuya(0.5, 1.0, rng_stream(0), size=1)
         with pytest.raises(ValueError):
             sample_tilted_sibuya(1.5, 0.5, rng_stream(0), size=1)
-        with pytest.raises(ValueError):
-            sample_tilted_sibuya(0.5, 0.5, rng_stream(0), size=1, branch="bogus")
 
 
 class TestStable:

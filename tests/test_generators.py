@@ -109,13 +109,18 @@ def test_log_forms_consistent():
     ts = np.geomspace(1e-3, 50.0, 25)
     for g in all_generators():
         assert_allclose(np.asarray(g.log_psi(ts)), np.log(np.asarray(g.psi(ts))), atol=1e-12)
-        assert_allclose(
-            np.asarray(g.log_neg_psi_deriv(ts)),
-            np.log(-np.asarray(g.psi_deriv(ts, 1))),
-            atol=1e-10,
-        )
         # far beyond the underflow horizon of psi itself
         assert np.isfinite(float(g.log_psi(2000.0)))
+    # psi_deriv(t, 1) is -exp(log_neg_psi_deriv(t)), so check the log kernel on
+    # its own: log(-psi') = log psi + log(-(log psi)'), past psi's underflow
+    ts = np.geomspace(1e-3, 2000.0, 60)
+    step = 1e-5 * ts
+    for base in all_generators():
+        for h in (0.0, 3.0, 50.0):
+            g = base.tilt(h)
+            dlog = (np.asarray(g.log_psi(ts + step)) - np.asarray(g.log_psi(ts - step))) / (2 * step)
+            ref = np.asarray(g.log_psi(ts)) + np.log(-dlog)
+            assert_allclose(np.asarray(g.log_neg_psi_deriv(ts)), ref, rtol=0, atol=1e-5, err_msg=repr(g))
 
 
 def test_log1mexp_regimes():
