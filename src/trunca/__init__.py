@@ -60,7 +60,6 @@ from .sampling import (
     pseudo_observations,
     sample_archimedean,
     sample_model,
-    sample_nested,
     sample_truncated,
     transform_margins,
     write_csv,

@@ -190,7 +190,7 @@ def _truncation(args, model):
 def _sample(model, tp, args, rng):
     tc = truncate_general(model, tp)
     if args.method == "oracle":
-        sm = transform_margins(oracle_sample(model, tp, args.n, rng), model, tp)
+        sm = sample_truncated(truncate_general(model, tp, method="bisect"), args.n, rng)
         sm.meta["form"] = tc.form
         return sm
     if args.method == "tilted" and tc.route == "oracle":

@@ -23,7 +23,8 @@ A truncated copula is itself a ``CopulaModel``, and truncations compose:
 truncating C_t at s is truncating C at t*_j = sec_j_inv(C(t) s_j), so a
 truncation of a truncation comes back in the source's own closed form.
 Each model class also knows its analytic tail coefficients (``_tail_dep``)
-and whether it is ``exchangeable``.
+and whether it is ``exchangeable``, and draws its own rows in ``_sample``,
+so a closed truncation samples as the model it is.
 """
 
 from __future__ import annotations
@@ -33,9 +34,11 @@ from itertools import product
 
 import numpy as np
 
+from .frailty import sample_frailty, sample_stable, sample_tilted_stable
 from .generators import Generator, IndependenceGenerator, OuterPowerGenerator
 
 __all__ = [
+    "SamplingError",
     "CopulaModel",
     "IndependenceCopula",
     "ComonotoneCopula",
@@ -63,6 +66,10 @@ BISECT_WIDTH = 1e-13
 _EDGE_TOL = 1e-12
 
 
+class SamplingError(RuntimeError):
+    """Raised when a sampler cannot produce the requested output."""
+
+
 def _unit_points(u, d):
     arr = np.asarray(u, dtype=float)
     squeeze = arr.ndim == 1
@@ -87,6 +94,10 @@ class CopulaModel:
     def _tail_dep(self):
         """Analytic (lambda_l, lambda_u) of the bivariate model."""
         raise TypeError(f"no analytic tail dependence for {type(self).__name__}")
+
+    def _sample(self, n, rng):
+        """n >= 1 rows of the model, as an (n, d) array."""
+        raise TypeError(f"no sampler for model type {type(self).__name__}")
 
     def cdf(self, u):
         """C(u) for a point (d,) or a stack of points (n, d)."""
@@ -212,6 +223,9 @@ class IndependenceCopula(CopulaModel):
     def _cdf(self, pts):
         return _columnwise(np.multiply, pts)
 
+    def _sample(self, n, rng):
+        return rng.random((n, self.d))
+
     def _tail_dep(self):
         return 0.0, 0.0
 
@@ -237,6 +251,10 @@ class ComonotoneCopula(CopulaModel):
 
     def _cdf(self, pts):
         return _columnwise(np.minimum, pts)
+
+    def _sample(self, n, rng):
+        u = rng.random(n)
+        return np.repeat(u[:, None], self.d, axis=1)
 
     def _tail_dep(self):
         return 1.0, 1.0
@@ -276,6 +294,10 @@ class ArchimedeanCopula(CopulaModel):
 
     def _tail_dep(self):
         return self.generator._tail_pair()
+
+    def _sample(self, n, rng):
+        from .sampling import sample_archimedean  # at call time: sampling imports copulas
+        return sample_archimedean(self.generator, self.d, n, rng)
 
     def __repr__(self):
         return f"ArchimedeanCopula({self.generator!r}, d={self.d})"
@@ -384,6 +406,45 @@ class NestedArchimedeanCopula(CopulaModel):
         ]
         return ProductTruncation(self, tp, NestedArchimedeanCopula(self.root, sectors))
 
+    def _sample(self, n, rng):
+        """Independence roots sample sectors independently; same-family Clayton
+        or Gumbel stacks draw a root frailty V0, then per sector (alpha =
+        theta0/theta_s) a scaled stable (Gumbel) or V0-tilted scaled stable
+        (Clayton) inner frailty.
+        """
+        out = np.empty((n, self.d))
+        root = self.root
+        if isinstance(root, IndependenceGenerator):
+            for s, sl in enumerate(self.slices):
+                g, ds = self.sectors[s]
+                if ds == 1:
+                    out[:, sl.start] = rng.random(n)
+                else:
+                    out[:, sl] = ArchimedeanCopula(g, ds)._sample(n, rng)
+            return out
+
+        fam = root.family
+        if fam not in ("clayton", "gumbel"):
+            raise SamplingError(
+                "nested sampling is implemented for independence roots and plain "
+                "Clayton or Gumbel stacks"
+            )
+        v0 = sample_frailty(root, 0.0, rng, size=n)
+        for s, sl in enumerate(self.slices):
+            g, ds = self.sectors[s]
+            alpha = root.theta / g.theta
+            if alpha == 1.0:
+                vs = v0
+            else:
+                scaled = np.power(v0, 1.0 / alpha)
+                if fam == "gumbel":
+                    vs = scaled * sample_stable(alpha, rng, size=n)
+                else:
+                    vs = scaled * sample_tilted_stable(alpha, scaled, rng, size=n)
+            e = rng.standard_exponential((n, ds))
+            out[:, sl] = np.asarray(g.psi(e / vs[:, None]))
+        return out
+
     def __repr__(self):
         inner = ", ".join(f"({g!r}, {ds})" for g, ds in self.sectors)
         return f"NestedArchimedeanCopula({self.root!r}, [{inner}])"
@@ -432,6 +493,14 @@ class MarshallOlkinCopula(CopulaModel):
     def _tail_dep(self):
         return 0.0, min(self.alpha1, self.alpha2)
 
+    def _sample(self, n, rng):
+        # shock construction: independent uniform shocks, one shared
+        z = rng.random((n, 3))
+        a1, a2 = self.alpha1, self.alpha2
+        u1 = np.maximum(z[:, 0] ** (1.0 / (1.0 - a1)), z[:, 2] ** (1.0 / a1))
+        u2 = np.maximum(z[:, 1] ** (1.0 / (1.0 - a2)), z[:, 2] ** (1.0 / a2))
+        return np.column_stack([u1, u2])
+
     def __repr__(self):
         return f"MarshallOlkinCopula({self.alpha1!r}, {self.alpha2!r})"
 
@@ -458,6 +527,9 @@ class SurvivalCopula(CopulaModel):
     def _tail_dep(self):
         ll, lu = self.inner._tail_dep()
         return lu, ll
+
+    def _sample(self, n, rng):
+        return 1.0 - self.inner._sample(n, rng)
 
     def __repr__(self):
         return f"SurvivalCopula({self.inner!r})"
@@ -543,6 +615,9 @@ class ModelTruncation(TruncatedCopula):
 
     def _cdf(self, pts):
         return self.model._cdf(pts)
+
+    def _sample(self, n, rng):
+        return self.model._sample(n, rng)
 
 
 class TiltedArchimedeanTruncation(ModelTruncation):

@@ -1,10 +1,9 @@
-"""Copula-level sampling: frailty constructions, the rejection oracle, transforms.
+"""Sampling entry points: the rejection oracle, the margin transform, output.
 
-The model samplers return plain (n, d) arrays.  They are exact: Archimedean
-(and tilted/outer-power Archimedean) models sample through the frailty
-construction ``U_j = psi(E_j / V)``; nested Clayton/Gumbel stacks through
-root and sector frailties; independence-coupled blocks blockwise.  A
-truncation that is a model again (the "tilted-frailty", "closed-model" and
+Each model class draws its own rows in ``_sample`` (see ``copulas``);
+Archimedean models use the frailty construction of
+:func:`sample_archimedean`.  :func:`sample_model` checks ``n`` and calls it.
+A truncation that is a model again (the "tilted-frailty", "closed-model" and
 "product" routes) samples as that model, ``tc.model``: a truncated
 Archimedean copula is the Archimedean copula of the tilted generator.  The
 oracle route is the model-agnostic rejection sampler (resample until
@@ -20,25 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .copulas import (
-    ArchimedeanCopula,
-    ComonotoneCopula,
-    IndependenceCopula,
-    MarshallOlkinCopula,
-    NestedArchimedeanCopula,
-    SurvivalCopula,
-    TruncatedCopula,
-    TruncationPoint,
-)
-from .frailty import sample_frailty, sample_stable, sample_tilted_stable
-from .generators import IndependenceGenerator
+from .copulas import SamplingError, TruncatedCopula, TruncationPoint
+from .frailty import sample_frailty
 
 __all__ = [
     "SampleMatrix",
     "SamplingError",
     "sample_model",
     "sample_archimedean",
-    "sample_nested",
     "oracle_sample",
     "transform_margins",
     "sample_truncated",
@@ -49,10 +37,6 @@ __all__ = [
 ]
 
 _CSV_BLOCK_ROWS = 4096
-
-
-class SamplingError(RuntimeError):
-    """Raised when a sampler cannot produce the requested output."""
 
 
 @dataclass
@@ -100,73 +84,9 @@ def sample_archimedean(gen, d, n, rng):
     return np.asarray(gen.psi(e / v[:, None]))
 
 
-def sample_nested(model, n, rng):
-    """n rows of a nested Archimedean model, as an (n, d) array.
-
-    Independence roots sample sectors independently.  Same-family Clayton or
-    Gumbel stacks use the conditional frailty construction: a root frailty
-    V0, then per sector with alpha = theta0/theta_s either a scaled stable
-    (Gumbel) or a V0-tilted scaled stable (Clayton) inner frailty.
-    """
-    if not isinstance(model, NestedArchimedeanCopula):
-        raise TypeError("sample_nested expects a NestedArchimedeanCopula")
-    n = _rows_wanted(n)
-    out = np.empty((n, model.d))
-    root = model.root
-    if isinstance(root, IndependenceGenerator):
-        for s, sl in enumerate(model.slices):
-            g, ds = model.sectors[s]
-            if ds == 1:
-                out[:, sl.start] = rng.random(n)
-            else:
-                out[:, sl] = sample_archimedean(g, ds, n, rng)
-        return out
-
-    fam = root.family
-    if fam not in ("clayton", "gumbel"):
-        raise SamplingError(
-            "nested sampling is implemented for independence roots and plain "
-            "Clayton or Gumbel stacks"
-        )
-    v0 = sample_frailty(root, 0.0, rng, size=n)
-    for s, sl in enumerate(model.slices):
-        g, ds = model.sectors[s]
-        alpha = root.theta / g.theta
-        if alpha == 1.0:
-            vs = v0
-        else:
-            scaled = np.power(v0, 1.0 / alpha)
-            if fam == "gumbel":
-                vs = scaled * sample_stable(alpha, rng, size=n)
-            else:
-                vs = scaled * sample_tilted_stable(alpha, scaled, rng, size=n)
-        e = rng.standard_exponential((n, ds))
-        out[:, sl] = np.asarray(g.psi(e / vs[:, None]))
-    return out
-
-
 def sample_model(model, n, rng):
-    """n rows from an (untruncated) model, as a plain array."""
-    n = _rows_wanted(n)
-    if isinstance(model, IndependenceCopula):
-        return rng.random((n, model.d))
-    if isinstance(model, ComonotoneCopula):
-        u = rng.random(n)
-        return np.repeat(u[:, None], model.d, axis=1)
-    if isinstance(model, ArchimedeanCopula):
-        return sample_archimedean(model.generator, model.d, n, rng)
-    if isinstance(model, NestedArchimedeanCopula):
-        return sample_nested(model, n, rng)
-    if isinstance(model, MarshallOlkinCopula):
-        # shock construction: independent uniform shocks, one shared
-        z = rng.random((n, 3))
-        a1, a2 = model.alpha1, model.alpha2
-        u1 = np.maximum(z[:, 0] ** (1.0 / (1.0 - a1)), z[:, 2] ** (1.0 / a1))
-        u2 = np.maximum(z[:, 1] ** (1.0 / (1.0 - a2)), z[:, 2] ** (1.0 / a2))
-        return np.column_stack([u1, u2])
-    if isinstance(model, SurvivalCopula):
-        return 1.0 - sample_model(model.inner, n, rng)
-    raise TypeError(f"no sampler for model type {type(model).__name__}")
+    """n rows from a model (a closed truncation too) by its ``_sample``, as a plain array."""
+    return model._sample(_rows_wanted(n), rng)
 
 
 def oracle_sample(model, t, n, rng):
@@ -245,9 +165,10 @@ def sample_truncated(tc, n, rng):
 
     "oracle" (Marshall-Olkin, nested with a dependent root, survival,
     generic) goes through the rejection oracle plus the margin transform.
-    Every other route samples the truncation's own model, ``tc.model``: the
-    tilted Archimedean copula ("tilted-frailty"), a closed model
-    ("closed-model"), or the nest with an independence root ("product").
+    Every other route is the truncation's own ``_sample``, which draws its
+    model, ``tc.model``: the tilted Archimedean copula ("tilted-frailty"), a
+    closed model ("closed-model"), or the nest with an independence root
+    ("product").
     The route is recorded as ``meta["method"]``, the form as ``meta["form"]``.
     """
     if not isinstance(tc, TruncatedCopula):
@@ -257,7 +178,7 @@ def sample_truncated(tc, n, rng):
         raw = oracle_sample(tc.source, tc.point, n, rng)
         sm = transform_margins(raw, tc.source, tc.point)
     else:
-        sm = SampleMatrix(sample_model(tc.model, n, rng))
+        sm = SampleMatrix(tc._sample(n, rng))
     sm.meta["method"] = tc.route
     sm.meta["form"] = tc.form
     return sm

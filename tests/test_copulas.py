@@ -19,6 +19,7 @@ from trunca import (
     TiltedArchimedeanTruncation,
     TruncationPoint,
     box_mass,
+    empirical_copula_distance,
     ev_scaling_check,
     generator,
     oracle_sample,
@@ -26,7 +27,6 @@ from trunca import (
     rng_stream,
     sample_archimedean,
     sample_model,
-    sample_nested,
     sample_truncated,
     survival,
     transform_margins,
@@ -258,9 +258,16 @@ class TestTruncateDispatch:
         for name, (m, _) in model_zoo().items():
             with pytest.raises(ValueError, match="need n >= 1"):
                 sample_model(m, n, rng_stream(0))
-            if isinstance(m, NestedArchimedeanCopula):
-                with pytest.raises(ValueError, match="need n >= 1"):
-                    sample_nested(m, n, rng_stream(0))
+
+    def test_sampling_dispatch_errors(self):
+        # a truncated form that is no model has no sampler of its own
+        for name, form in [("nested_clayton", "NestedTruncation"), ("mo", "MOTruncation"),
+                           ("survival_gumbel", "GeneralTruncation")]:
+            tc = truncate_general(*ZOO[name])
+            with pytest.raises(TypeError, match=f"no sampler for model type {form}"):
+                sample_model(tc, 10, rng_stream(0))
+        with pytest.raises(TypeError, match="expects a TruncatedCopula"):
+            sample_truncated(ZOO["clayton"][0], 10, rng_stream(0))
 
     @settings(max_examples=5)
     @given(ts=ZOO_THRESHOLDS)
@@ -393,7 +400,7 @@ class TestNested:
         assert np.array_equal(tc.cdf(u), np.atleast_1d(block.cdf(u[:, :2])) * u[:, 2])
         # the product samples as its model: the nest of the tilted sectors
         got = sample_truncated(tc, 1000, rng_stream(14))
-        assert np.array_equal(got.data, sample_nested(tc.model, 1000, rng_stream(14)))
+        assert np.array_equal(got.data, sample_model(tc.model, 1000, rng_stream(14)))
 
     def test_cross_sector_margin_is_tilted_root(self):
         m, t = self.make()
@@ -661,6 +668,20 @@ def test_truncations_compose(name, data, seed):
     assert np.max(np.abs(composed.cdf(pts) - bisected.cdf(pts))) <= 1e-10
     sm = sample_truncated(composed, 50, rng_stream(seed))
     assert sm.meta["method"] == direct.route and sm.meta["form"] == direct.form
+
+
+@pytest.mark.parametrize(
+    "k,name",
+    [(k, name) for k, name in enumerate(ZOO) if truncate_general(*ZOO[name]).route != "oracle"],
+)
+def test_closed_truncations_sample_as_models(k, name):
+    # a closed truncation is a model: the oracle draws from it, and its rows
+    # follow its own truncation at s
+    tc = truncate_general(*ZOO[name])
+    s = np.full(tc.d, 0.6)
+    got = transform_margins(oracle_sample(tc, s, 100_000, rng_stream(k, 1)), tc, s)
+    ref = sample_truncated(truncate_general(tc, s), 100_000, rng_stream(k, 0))
+    assert empirical_copula_distance(got, ref) <= 0.015
 
 
 @settings(max_examples=50)

@@ -21,7 +21,6 @@ from trunca import (
     rng_stream,
     sample_archimedean,
     sample_model,
-    sample_nested,
     sample_truncated,
     transform_margins,
     truncate_general,
@@ -110,7 +109,7 @@ class TestSampleNested:
     def test_single_sector_reduces_to_archimedean(self):
         g = generator("gumbel", 3.0)
         m = NestedArchimedeanCopula(generator("gumbel", 3.0), [(g, 3)])
-        a = sample_nested(m, 30_000, rng_stream(4))
+        a = sample_model(m, 30_000, rng_stream(4))
         b = sample_archimedean(g, 3, 30_000, rng_stream(5))
         assert empirical_copula_distance(a, b) <= 0.02
 
@@ -119,7 +118,7 @@ class TestSampleNested:
         m = NestedArchimedeanCopula(
             generator(fam, th0), [(generator(fam, th0), 1), (generator(fam, th1), 2)]
         )
-        u = sample_nested(m, 100_000, rng_stream(6))
+        u = sample_model(m, 100_000, rng_stream(6))
         assert u.shape == (100_000, 3)
         se = tau_se(len(u))
         assert abs(empirical_kendall_tau(u, 0, 1) - 0.5) <= 3 * se
@@ -131,7 +130,7 @@ class TestSampleNested:
             generator("independence"),
             [(generator("clayton", 2.0), 2), (generator("gumbel", 3.0), 1)],
         )
-        u = sample_nested(m, 50_000, rng_stream(7))
+        u = sample_model(m, 50_000, rng_stream(7))
         assert u.shape == (50_000, 3)
         se = tau_se(len(u))
         assert abs(empirical_kendall_tau(u, 0, 1) - 0.5) <= 3 * se
@@ -142,7 +141,7 @@ class TestSampleNested:
             generator("frank", 2.0), [(generator("frank", 2.0), 1), (generator("frank", 5.0), 2)]
         )
         with pytest.raises(SamplingError):
-            sample_nested(m, 100, rng_stream(8))
+            sample_model(m, 100, rng_stream(8))
 
 
 class TestOracle:
