@@ -22,7 +22,7 @@ from .analytics import (
 )
 from .copulas import ArchimedeanCopula, TruncationPoint, truncate_general
 from .frailty import rng_stream
-from .modelspec import SCHEMA, load_model, model_to_dict
+from .modelspec import SCHEMA, load_model, model_from_dict, model_to_dict
 from .sampling import (
     SamplingError,
     empirical_copula_distance,
@@ -367,8 +367,6 @@ def cmd_oracle_compare(args):
 
 
 def cmd_figure_data(args):
-    from .modelspec import model_from_dict
-
     if args.n < 2:
         raise ConfigError("ranked output needs --n of at least 2")
     spec, points = FIGURES[args.figure]

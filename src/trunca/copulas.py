@@ -34,8 +34,8 @@ from itertools import product
 
 import numpy as np
 
-from .frailty import sample_frailty, sample_stable, sample_tilted_stable
-from .generators import Generator, IndependenceGenerator, OuterPowerGenerator
+from .frailty import sample_frailty
+from .generators import Generator, IndependenceGenerator, SamplingError
 
 __all__ = [
     "SamplingError",
@@ -64,10 +64,6 @@ __all__ = [
 BISECT_MAX_ITER = 200
 BISECT_WIDTH = 1e-13
 _EDGE_TOL = 1e-12
-
-
-class SamplingError(RuntimeError):
-    """Raised when a sampler cannot produce the requested output."""
 
 
 def _unit_points(u, d):
@@ -303,40 +299,18 @@ class ArchimedeanCopula(CopulaModel):
         return f"ArchimedeanCopula({self.generator!r}, d={self.d})"
 
 
-def _validate_nesting(root, sectors):
-    if isinstance(root, IndependenceGenerator):
-        return
-    if isinstance(root, OuterPowerGenerator):
-        base = root.base
-        for g, ds in sectors:
-            ok = (
-                isinstance(g, OuterPowerGenerator)
-                and type(g.base) is type(base)
-                and g.base.theta == base.theta
-                and root.alpha >= g.alpha - 1e-12
-            )
-            if not ok:
-                raise ValueError(
-                    "outer-power nesting requires a shared base generator and "
-                    "root alpha >= sector alphas"
-                )
-        return
-    for g, ds in sectors:
-        if type(g) is not type(root) or not (root.theta <= g.theta + 1e-12):
-            raise ValueError(
-                "nesting condition: sector generators must match the root family "
-                "with theta_root <= theta_sector"
-            )
-
-
 class NestedArchimedeanCopula(CopulaModel):
     """Two-level nested model C0(C_1(u_1), ..., C_S(u_S)).
 
-    ``sectors`` is a sequence of (generator, dimension) pairs; the sufficient
-    nesting condition is enforced at construction for the supported stacks
-    (same family with theta_root <= theta_sector, outer powers of one base
-    with alpha_root >= alpha_sector, or an independence root, under which the
-    model is simply a product of Archimedean blocks).
+    ``sectors`` is a sequence of (generator, dimension) pairs.  The root
+    enforces the sufficient nesting condition at construction
+    (``root._nests``): the same family with theta_root <= theta_sector,
+    outer powers of one base with alpha_root >= alpha_sector, or any sector
+    under an independence root, which makes the model a product of
+    Archimedean blocks.  Sampling draws the root frailty V0 and, per sector,
+    the root's inner law given V0 (``root._inner_frailty``).  Independence
+    roots and Clayton or Gumbel stacks have one; other roots raise
+    ``SamplingError``.
     """
 
     kind = "nested_archimedean"
@@ -350,7 +324,11 @@ class NestedArchimedeanCopula(CopulaModel):
         d = sum(ds for _, ds in sectors)
         if d < 2:
             raise ValueError("copula dimension must be at least 2")
-        _validate_nesting(root, sectors)
+        if not all(root._nests(g) for g, _ in sectors):
+            raise ValueError(
+                f"sectors must nest under the root {root!r}: its family with theta_root <= "
+                "theta_sector, or its outer-power base with alpha_root >= alpha_sector"
+            )
         self.root = root
         self.sectors = sectors
         self.d = d
@@ -359,13 +337,6 @@ class NestedArchimedeanCopula(CopulaModel):
         for _, ds in sectors:
             self.slices.append(slice(start, start + ds))
             start += ds
-
-    def sector_of(self, index):
-        """(sector, offset-within-sector) of a flat coordinate index."""
-        for s, sl in enumerate(self.slices):
-            if sl.start <= index < sl.stop:
-                return s, index - sl.start
-        raise IndexError(index)
 
     def _sector_cdf(self, s, block):
         if block.shape[1] == 1:
@@ -381,7 +352,7 @@ class NestedArchimedeanCopula(CopulaModel):
         return np.asarray(root.psi(total))
 
     def _section_inv_analytic(self, j, y, t):
-        s, _ = self.sector_of(j)
+        s = next(s for s, sl in enumerate(self.slices) if j < sl.stop)
         g = self.sectors[s][0]
         root = self.root
         sl = self.slices[s]
@@ -407,40 +378,11 @@ class NestedArchimedeanCopula(CopulaModel):
         return ProductTruncation(self, tp, NestedArchimedeanCopula(self.root, sectors))
 
     def _sample(self, n, rng):
-        """Independence roots sample sectors independently; same-family Clayton
-        or Gumbel stacks draw a root frailty V0, then per sector (alpha =
-        theta0/theta_s) a scaled stable (Gumbel) or V0-tilted scaled stable
-        (Clayton) inner frailty.
-        """
+        """U_j = psi_s(E_j / V_s), with V_s drawn from the root's inner law given V0."""
         out = np.empty((n, self.d))
-        root = self.root
-        if isinstance(root, IndependenceGenerator):
-            for s, sl in enumerate(self.slices):
-                g, ds = self.sectors[s]
-                if ds == 1:
-                    out[:, sl.start] = rng.random(n)
-                else:
-                    out[:, sl] = ArchimedeanCopula(g, ds)._sample(n, rng)
-            return out
-
-        fam = root.family
-        if fam not in ("clayton", "gumbel"):
-            raise SamplingError(
-                "nested sampling is implemented for independence roots and plain "
-                "Clayton or Gumbel stacks"
-            )
-        v0 = sample_frailty(root, 0.0, rng, size=n)
-        for s, sl in enumerate(self.slices):
-            g, ds = self.sectors[s]
-            alpha = root.theta / g.theta
-            if alpha == 1.0:
-                vs = v0
-            else:
-                scaled = np.power(v0, 1.0 / alpha)
-                if fam == "gumbel":
-                    vs = scaled * sample_stable(alpha, rng, size=n)
-                else:
-                    vs = scaled * sample_tilted_stable(alpha, scaled, rng, size=n)
+        v0 = sample_frailty(self.root, 0.0, rng, size=n)
+        for (g, ds), sl in zip(self.sectors, self.slices):
+            vs = self.root._inner_frailty(g, v0, rng)
             e = rng.standard_exponential((n, ds))
             out[:, sl] = np.asarray(g.psi(e / vs[:, None]))
         return out
@@ -652,7 +594,7 @@ class ProductTruncation(ModelTruncation):
 class NestedTruncation(TruncatedCopula):
     """Closed form of a truncated nested Archimedean copula.
 
-    All constants are precomputed: h0 = psi0_inv(C(t)) and, per sector,
+    All constants are precomputed: h0 = psi0_inv(C(t)) and, per sector with
     c_s = C_s(t_s), the inner offset b_s = psi_s_inv(c_s) and the sector
     shift a_s = h0 - psi0_inv(c_s) (the root-scale coordinate of the sector's
     complementary threshold mass).
@@ -666,12 +608,10 @@ class NestedTruncation(TruncatedCopula):
         root = m.root
         c = point.c_of_t
         self.h0 = float(root.psi_inv(c))
-        self.c_s = []
         self.a_s = []
         self.b_s = []
         for s, sl in enumerate(m.slices):
             cs = float(m._sector_cdf(s, np.asarray(point.t[sl])[None, :])[0])
-            self.c_s.append(cs)
             self.a_s.append(self.h0 - float(root.psi_inv(cs)))
             self.b_s.append(float(m.sectors[s][0].psi_inv(cs)))
         self._tilted_root = root.tilt(self.h0)

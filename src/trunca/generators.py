@@ -7,6 +7,10 @@ laws in ``frailty``) and its analytic tail coefficients
 (``_tail_pair``).  Of ``psi`` a family writes ``_log_psi``, ``_psi_inv``,
 ``_log_neg_dpsi`` (``log(-psi')``, from which ``psi'`` is derived) and
 ``_d2psi``, plus ``_psi`` and ``_tilted_inv`` where they are more exact.
+As the root of a nested model a family also says which sector generators
+nest under it (``_nests``) and how to draw a sector's frailty given the
+root's (``_inner_frailty``); roots without an inner law raise
+``SamplingError``.
 
 A generator ``psi`` maps ``[0, inf)`` onto ``(0, 1]`` with ``psi(0) = 1``,
 strictly decreasing to 0, and is completely monotone on the stated parameter
@@ -27,9 +31,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frailty import _geometric, _tilted_sibuya, sample_sibuya, sample_tilted_sibuya, sample_tilted_stable
+from .frailty import (_geometric, _tilted_sibuya, sample_frailty, sample_sibuya, sample_stable,
+                      sample_tilted_sibuya, sample_tilted_stable)
 
 __all__ = [
+    "SamplingError",
     "Generator",
     "IndependenceGenerator",
     "ClaytonGenerator",
@@ -46,6 +52,10 @@ __all__ = [
 ]
 
 _LOG2 = 0.6931471805599453
+
+
+class SamplingError(RuntimeError):
+    """Raised when a sampler cannot produce the requested output."""
 
 
 def log1mexp(x):
@@ -158,6 +168,20 @@ class Generator:
         """n draws of the frailty tilted by e^{-hv}, Laplace transform psi(t + h)/psi(h)."""
         raise TypeError(f"no frailty sampler for generator type {type(self).__name__}")
 
+    def _nests(self, g):
+        """May ``g`` generate a sector under this root (same type, theta_root <= theta_sector)?"""
+        return type(g) is type(self) and self.theta <= g.theta
+
+    def _inner_frailty(self, g, v0, rng):
+        """Frailties of sector ``g`` given root frailties ``v0``, one per entry.
+
+        Given V0 = v0 the law has Laplace transform exp(-v0 psi0_inv(psi_s(x))).
+        """
+        raise SamplingError(
+            "nested sampling is implemented for independence roots and plain "
+            "Clayton or Gumbel stacks"
+        )
+
     def _tail_pair(self, alpha=1.0):
         """(lambda_l at any tilt, lambda_u at tilt 0) of the generator psi(t^alpha).
 
@@ -201,6 +225,13 @@ class IndependenceGenerator(Generator):
     def _frailty(self, h, rng, n):
         return np.ones(n)
 
+    def _nests(self, g):
+        return True
+
+    def _inner_frailty(self, g, v0, rng):
+        # V0 = 1: each sector draws its own frailty, independently
+        return sample_frailty(g, 0.0, rng, v0.size)
+
 
 class ClaytonGenerator(Generator):
     """psi(t) = (1 + t)^(-1/theta), theta > 0."""
@@ -235,6 +266,13 @@ class ClaytonGenerator(Generator):
     def _frailty(self, h, rng, n):
         # Gamma(1/theta) tilts conjugately to Gamma(1/theta, rate 1 + h)
         return rng.gamma(1.0 / self.theta, scale=1.0 / (1.0 + h), size=n)
+
+    def _inner_frailty(self, g, v0, rng):
+        # exp(-v0 ((1 + x)^a - 1)) with a = theta0/theta_s: W = v0^(1/a) times
+        # a stable S_a tilted by W
+        a = self.theta / g.theta
+        scaled = np.power(v0, 1.0 / a)
+        return scaled * sample_tilted_stable(a, scaled, rng, size=v0.size)
 
     def _tail_pair(self, alpha=1.0):
         # psi is regularly varying with index -alpha/theta: the lower
@@ -365,6 +403,11 @@ class GumbelGenerator(Generator):
         if self.theta == 1.0:
             return np.ones(n)
         return sample_tilted_stable(1.0 / self.theta, h, rng, size=n)
+
+    def _inner_frailty(self, g, v0, rng):
+        # exp(-v0 x^a) with a = theta0/theta_s: v0^(1/a) times a stable S_a
+        a = self.theta / g.theta
+        return np.power(v0, 1.0 / a) * sample_stable(a, rng, size=v0.size)
 
     def _tail_pair(self, alpha=1.0):
         return super()._tail_pair(alpha * (1.0 / self.theta))
@@ -555,6 +598,15 @@ class OuterPowerGenerator(Generator):
                 f"1/alpha = {1.0 / a!r} is not finite in float64"
             )
         return root * sample_tilted_stable(a, h * root, rng, size=n)
+
+    def _nests(self, g):
+        # outer powers of one base, with alpha_root >= alpha_sector
+        return (
+            type(g) is type(self)
+            and type(g.base) is type(self.base)
+            and g.theta == self.theta
+            and self.alpha >= g.alpha
+        )
 
     def _tail_pair(self, alpha=1.0):
         return self.base._tail_pair(alpha * self.alpha)

@@ -356,6 +356,18 @@ class TestNested:
             NestedArchimedeanCopula(
                 generator("clayton", 2.0), [(generator("gumbel", 3.0), 2)]
             )
+        for fam in ("clayton", "gumbel"):
+            # the check is exact: a root theta just above the sector's fails,
+            # where the sampler would need a stable exponent above 1
+            with pytest.raises(ValueError, match="nest"):
+                NestedArchimedeanCopula(
+                    generator(fam, 2.0 + 5e-13), [(generator(fam, 2.0), 2)]
+                )
+            # an equal theta builds and samples
+            m = NestedArchimedeanCopula(
+                generator(fam, 2.0), [(generator(fam, 2.0), 2), (generator(fam, 3.0), 1)]
+            )
+            assert sample_model(m, 50, rng_stream(0)).shape == (50, 3)
         # outer-power stack: alpha_root >= alpha_sector, shared base
         base = generator("clayton", 1.2)
         NestedArchimedeanCopula(

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,13 +137,50 @@ class TestSampleNested:
         se = tau_se(len(u))
         assert abs(empirical_kendall_tau(u, 0, 1) - 0.5) <= 3 * se
         assert abs(empirical_kendall_tau(u, 0, 2)) <= 3 * se
+        # the 1-d sector is psi(E / V) of its own frailty: uniform
+        assert kstest(u[:, 2], "uniform").pvalue > 0.01
 
-    def test_unsupported_stack(self):
-        m = NestedArchimedeanCopula(
-            generator("frank", 2.0), [(generator("frank", 2.0), 1), (generator("frank", 5.0), 2)]
+    def test_rows_bitwise(self):
+        # the nested figure panels and the product route rest on this RNG
+        # layout: root frailty, then per sector its frailty and exponentials
+        def digest(a):
+            return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+        ind = NestedArchimedeanCopula(
+            generator("independence"),
+            [(generator("clayton", 2.0), 2), (generator("gumbel", 3.0), 2)],
         )
+        for m, expected in [
+            (NestedArchimedeanCopula(
+                generator("clayton", 2.0),
+                [(generator("clayton", 2.0), 1), (generator("clayton", 6.0), 2)],
+            ), "ed47275b52b05185"),
+            (NestedArchimedeanCopula(
+                generator("gumbel", 2.0),
+                [(generator("gumbel", 2.0), 1), (generator("gumbel", 4.0), 2)],
+            ), "b54320fc0eee86da"),
+            (ind, "ec7071c657941ded"),
+        ]:
+            assert digest(sample_model(m, 2000, rng_stream(5))) == expected, m
+        tc = truncate_general(ind, [0.5, 0.6, 0.7, 0.8])
+        assert digest(sample_truncated(tc, 2000, rng_stream(5)).data) == "5fdd083d9b50bee5"
+
+    @pytest.mark.parametrize("root,sectors", [
+        (generator("amh", 0.3), [generator("amh", 0.7), generator("amh", 0.5)]),
+        (generator("frank", 2.0), [generator("frank", 5.0), generator("frank", 3.0)]),
+        (generator("joe", 2.0), [generator("joe", 4.0), generator("joe", 3.0)]),
+        (generator("clayton", 2.0, outer_alpha=0.8),
+         [generator("clayton", 2.0, outer_alpha=0.5), generator("clayton", 2.0, outer_alpha=0.6)]),
+        (generator("gumbel", 2.0, outer_alpha=0.8),
+         [generator("gumbel", 2.0, outer_alpha=0.5), generator("gumbel", 2.0, outer_alpha=0.6)]),
+    ], ids=["amh", "frank", "joe", "op-clayton", "op-gumbel"])
+    def test_unsupported_stack(self, root, sectors):
+        # these nest and truncate, but their roots have no inner law yet
+        m = NestedArchimedeanCopula(root, [(sectors[0], 2), (sectors[1], 1)])
         with pytest.raises(SamplingError):
             sample_model(m, 100, rng_stream(8))
+        with pytest.raises(SamplingError):
+            sample_truncated(truncate_general(m, [0.5, 0.6, 0.7]), 100, rng_stream(8))
 
 
 class TestOracle:
