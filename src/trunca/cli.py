@@ -26,10 +26,8 @@ from .modelspec import SCHEMA, load_model, model_from_dict, model_to_dict
 from .sampling import (
     SamplingError,
     empirical_copula_distance,
-    oracle_sample,
     pseudo_observations,
     sample_truncated,
-    transform_margins,
     write_csv,
     write_meta,
 )
@@ -177,28 +175,39 @@ def _load(args):
     return model
 
 
-def _truncation(args, model):
+def _truncated(args):
+    """The --model, its truncation point at --t, and its truncation there."""
+    model = _load(args)
     if args.t is None:
         raise ConfigError("this command requires --t")
     t = _parse_vector(args.t, model.d, "--t")
     try:
-        return TruncationPoint.make(model, t)
+        tp = TruncationPoint.make(model, t)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    return model, tp, truncate_general(model, tp)
 
 
-def _sample(model, tp, args, rng):
-    tc = truncate_general(model, tp)
+def _sample(tc, args, rng):
     if args.method == "oracle":
-        sm = sample_truncated(truncate_general(model, tp, method="bisect"), args.n, rng)
+        sm = sample_truncated(truncate_general(tc.source, tc.point, method="bisect"), args.n, rng)
         sm.meta["form"] = tc.form
         return sm
     if args.method == "tilted" and tc.route == "oracle":
         raise ConfigError(
-            f"model of kind {model.kind!r} has no tilted/closed sampling path; "
+            f"model of kind {tc.source.kind!r} has no tilted/closed sampling path; "
             "use --method auto or oracle"
         )
     return sample_truncated(tc, args.n, rng)
+
+
+def _write_sample(sm, path, model, tp, seed, **meta):
+    """The CSV at ``path`` and its ``.meta.json`` sidecar, stamped with the run's provenance."""
+    sm.meta.update(
+        schema=SCHEMA, model=model_to_dict(model, schema=False), t=tp.t.tolist(), seed=seed, **meta
+    )
+    write_csv(sm, path)
+    write_meta(sm, f"{path}.meta.json")
 
 
 def _emit_json(payload, out):
@@ -212,27 +221,13 @@ def _emit_json(payload, out):
 def cmd_sample(args):
     if args.n < 2 and not args.raw:
         raise ConfigError("ranked output needs --n of at least 2; --raw allows 1")
-    model = _load(args)
-    tp = _truncation(args, model)
+    model, tp, tc = _truncated(args)
     if not args.out:
         raise ConfigError("sample requires --out")
-    rng = rng_stream(args.seed)
-    sm = _sample(model, tp, args, rng)
+    sm = _sample(tc, args, rng_stream(args.seed))
     if not args.raw:
         sm = pseudo_observations(sm)
-    sm.meta.update(
-        {
-            "schema": SCHEMA,
-            "model": model_to_dict(model, schema=False),
-            "t": tp.t.tolist(),
-            "c_of_t": tp.c_of_t,
-            "seed": args.seed,
-            "n": sm.n,
-            "raw": bool(args.raw),
-        }
-    )
-    write_csv(sm, args.out)
-    write_meta(sm, str(args.out) + ".meta.json")
+    _write_sample(sm, args.out, model, tp, args.seed, c_of_t=tp.c_of_t, n=sm.n, raw=bool(args.raw))
     return 0
 
 
@@ -247,9 +242,7 @@ def cmd_cdf(args):
 
 
 def cmd_truncate_eval(args):
-    model = _load(args)
-    tp = _truncation(args, model)
-    tc = truncate_general(model, tp)
+    model, tp, tc = _truncated(args)
     pts = _unit_rows(args, model.d)
     vals = np.atleast_1d(tc.cdf(pts))
     _emit_json(
@@ -277,9 +270,7 @@ def cmd_taildep(args):
             raise ConfigError("--q must lie in (0, 0.5)")
         if args.n < 1000:
             raise ConfigError("--q needs --n of at least 1000 rows")
-    model = _load(args)
-    tp = _truncation(args, model)
-    tc = truncate_general(model, tp)
+    model, tp, tc = _truncated(args)
     if tc.route == "tilted-frailty":
         report = tail_dep_tilted(tc.tilted)
     elif model.d == 2 and np.all(tp.t == tp.t[0]) and model.exchangeable:
@@ -291,8 +282,7 @@ def cmd_taildep(args):
         )
     payload = report.to_dict()
     if args.q is not None:
-        rng = rng_stream(args.seed)
-        sm = _sample(model, tp, args, rng)
+        sm = _sample(tc, args, rng_stream(args.seed))
         emp = empirical_tail_dep(sm, args.q)
         payload["empirical"] = emp.to_dict()
     _emit_json({"schema": SCHEMA, "t": tp.t.tolist(), **payload}, args.out)
@@ -310,14 +300,12 @@ def cmd_kendall(args):
             raise ConfigError(f"cannot parse --u: {exc}") from None
         if not np.all((us >= 0.0) & (us <= 1.0)):
             raise ConfigError("--u values must lie in [0, 1]")
-    model = _load(args)
-    tp = _truncation(args, model)
+    model, tp, tc = _truncated(args)
     if us is not None and not (isinstance(model, ArchimedeanCopula) and model.d in (2, 3)):
         raise ConfigError(
             "--u (the Kendall distribution) needs an Archimedean model with d in {2, 3}"
         )
-    rng = rng_stream(args.seed)
-    sm = _sample(model, tp, args, rng)
+    sm = _sample(tc, args, rng_stream(args.seed))
     d = sm.dim
     tau = np.eye(d)
     for i in range(d):
@@ -336,19 +324,18 @@ def cmd_kendall(args):
 
 
 def cmd_oracle_compare(args):
-    model = _load(args)
-    tp = _truncation(args, model)
-    tc = truncate_general(model, tp)
+    model, tp, tc = _truncated(args)
     if tc.route == "oracle":
         raise ConfigError(
             f"model of kind {model.kind!r} has no closed-form sampling path to compare"
         )
     fast = sample_truncated(tc, args.n, rng_stream(args.seed, stream=0))
-    raw = oracle_sample(model, tp, args.n, rng_stream(args.seed, stream=1))
-    orc = transform_margins(raw, model, tp)
+    orc = sample_truncated(
+        truncate_general(model, tp, method="bisect"), args.n, rng_stream(args.seed, stream=1)
+    )
     dist = empirical_copula_distance(fast, orc)
-    rate = raw.meta["accept_rate"]
-    se = np.sqrt(tp.c_of_t * (1.0 - tp.c_of_t) / raw.meta["proposals"])
+    rate = orc.meta["accept_rate"]
+    se = np.sqrt(tp.c_of_t * (1.0 - tp.c_of_t) / orc.meta["proposals"])
     # the sup distance between two samples shrinks like 1/sqrt(n): 0.015 at n = 1e5
     threshold = 0.015 * np.sqrt(1e5 / args.n) if args.threshold is None else args.threshold
     payload = {
@@ -374,23 +361,10 @@ def cmd_figure_data(args):
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for k, t in enumerate(points):
-        tp = TruncationPoint.make(model, np.asarray(t, dtype=float))
-        rng = rng_stream(args.seed, stream=k)
-        tc = truncate_general(model, tp)
-        sm = pseudo_observations(sample_truncated(tc, args.n, rng))
-        sm.meta.update(
-            {
-                "schema": SCHEMA,
-                "figure": args.figure,
-                "model": model_to_dict(model, schema=False),
-                "t": tp.t.tolist(),
-                "seed": args.seed,
-                "panel": k,
-            }
-        )
-        stem = outdir / f"{args.figure}_panel{k}"
-        write_csv(sm, f"{stem}.csv")
-        write_meta(sm, f"{stem}.csv.meta.json")
+        tc = truncate_general(model, t)
+        sm = pseudo_observations(sample_truncated(tc, args.n, rng_stream(args.seed, stream=k)))
+        _write_sample(sm, outdir / f"{args.figure}_panel{k}.csv", model, tc.point, args.seed,
+                      figure=args.figure, panel=k)
     return 0
 
 

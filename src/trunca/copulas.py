@@ -12,19 +12,19 @@ chooses its own truncated form in ``_truncate`` and its own section inverse
 Archimedean with a tilted generator (tilt psi_inv(C(t))), so their truncation
 is again an ``ArchimedeanCopula``; nested Archimedean models keep a nested
 closed form, bivariate Marshall-Olkin models keep a piecewise closed form
-with an explicit singular curve, and independence/comonotonicity are fixed
-points.  Everything else (survival wrappers in particular) is the
-construction itself, ``GeneralTruncation``, which always inverts the
-sections numerically (an ITP bracket to a width relative to t_j) and is the
-reference every closed form is checked against.  Each truncated form in
-turn names its sampling ``route`` (see ``sampling.sample_truncated``).
+with an explicit singular curve, and independence and comonotonicity are
+fixed points, sharing one base.  Everything else (survival wrappers in
+particular) is the construction itself, ``GeneralTruncation``, which always
+inverts the sections numerically (an ITP bracket to a width relative to t_j)
+and is the reference every closed form is checked against.  Each truncated
+form in turn names its sampling ``route`` (see ``sampling.sample_truncated``).
 
 A truncated copula is itself a ``CopulaModel``, and truncations compose:
 truncating C_t at s is truncating C at t*_j = sec_j_inv(C(t) s_j), so a
 truncation of a truncation comes back in the source's own closed form.
 Each model class also knows its analytic tail coefficients (``_tail_dep``)
 and whether it is ``exchangeable``, and draws its own rows in ``_sample``,
-so a closed truncation samples as the model it is.
+so a closed truncation samples, and reports both, as the model it is.
 """
 
 from __future__ import annotations
@@ -204,10 +204,9 @@ def _shift(g, y, shift):
         return np.asarray(g.psi(np.maximum(np.asarray(g.psi_inv(y)) - shift, 0.0)))
 
 
-class IndependenceCopula(CopulaModel):
-    """C(u) = prod_j u_j."""
+class _FixedPoint(CopulaModel):
+    """A model that is its own truncation at every threshold."""
 
-    kind = "independence"
     exchangeable = True
 
     def __init__(self, d=2):
@@ -215,6 +214,15 @@ class IndependenceCopula(CopulaModel):
         if d < 2:
             raise ValueError("copula dimension must be at least 2")
         self.d = d
+
+    def _truncate(self, tp):
+        return ModelTruncation(self, tp, self)
+
+
+class IndependenceCopula(_FixedPoint):
+    """C(u) = prod_j u_j."""
+
+    kind = "independence"
 
     def _cdf(self, pts):
         return _columnwise(np.multiply, pts)
@@ -229,21 +237,11 @@ class IndependenceCopula(CopulaModel):
         rest = float(np.prod(np.delete(t, j)))
         return y / rest
 
-    def _truncate(self, tp):
-        return ModelTruncation(self, tp, self)
 
-
-class ComonotoneCopula(CopulaModel):
+class ComonotoneCopula(_FixedPoint):
     """C(u) = min_j u_j."""
 
     kind = "comonotone"
-    exchangeable = True
-
-    def __init__(self, d=2):
-        d = int(d)
-        if d < 2:
-            raise ValueError("copula dimension must be at least 2")
-        self.d = d
 
     def _cdf(self, pts):
         return _columnwise(np.minimum, pts)
@@ -257,9 +255,6 @@ class ComonotoneCopula(CopulaModel):
 
     def _section_inv_analytic(self, j, y, t):
         return y.copy()
-
-    def _truncate(self, tp):
-        return ModelTruncation(self, tp, self)
 
 
 class ArchimedeanCopula(CopulaModel):
@@ -479,8 +474,6 @@ class SurvivalCopula(CopulaModel):
 
 def survival(model):
     """Survival-wrap a bivariate model; wrapping twice is the identity."""
-    if model.d != 2:
-        raise ValueError("survival wrapping is implemented for d = 2 only")
     if isinstance(model, SurvivalCopula):
         return model.inner
     return SurvivalCopula(model)
@@ -546,7 +539,7 @@ class TruncatedCopula(CopulaModel):
 
 
 class ModelTruncation(TruncatedCopula):
-    """Truncations that are a model again (``model``), sampled as that model."""
+    """Truncations that are a model again (``model``): sampled and described as that model."""
 
     form = "model"
     route = "closed-model"
@@ -555,8 +548,15 @@ class ModelTruncation(TruncatedCopula):
         super().__init__(source, point)
         self.model = model
 
+    @property
+    def exchangeable(self):
+        return self.model.exchangeable
+
     def _cdf(self, pts):
         return self.model._cdf(pts)
+
+    def _tail_dep(self):
+        return self.model._tail_dep()
 
     def _sample(self, n, rng):
         return self.model._sample(n, rng)

@@ -6,7 +6,10 @@ A family class carries the three facts truncation needs together: ``psi``
 laws in ``frailty``) and its analytic tail coefficients
 (``_tail_pair``).  Of ``psi`` a family writes ``_log_psi``, ``_psi_inv``,
 ``_log_neg_dpsi`` (``log(-psi')``, from which ``psi'`` is derived) and
-``_d2psi``, plus ``_psi`` and ``_tilted_inv`` where they are more exact.
+``_d2psi``, plus ``_psi`` where it is more exact.  The base class holds the
+tilted inverse ``psi_inv(psi(h) u) - h`` (``_tilted_inv``); independence,
+Clayton, Gumbel and the outer power override it only to avoid the
+cancelling difference.
 As the root of a nested model a family also says which sector generators
 nest under it (``_nests``) and how to draw a sector's frailty given the
 root's (``_inner_frailty``); roots without an inner law raise
@@ -159,10 +162,9 @@ class Generator:
         return OuterPowerGenerator(self, alpha)
 
     def _tilted_inv(self, h, u):
-        # psi_inv(psi(h) u) - h without forming the cancelling difference;
-        # None falls back to the generic formula.  Only families whose tilt h
-        # grows polynomially in 1/C(t) (power-decay generators) need this.
-        return None
+        # psi_h^-1(u) = psi_inv(psi(h) u) - h, with the family's own psi; a family
+        # overrides it where it can avoid the cancelling difference
+        return self._psi_inv(self._psi(h) * u) - h
 
     def _frailty(self, h, rng, n):
         """n draws of the frailty tilted by e^{-hv}, Laplace transform psi(t + h)/psi(h)."""
@@ -500,10 +502,7 @@ class TiltedGenerator(Generator):
         return self.base.log_psi(t + self.h) - self._log_psi_h
 
     def _psi_inv(self, u):
-        out = self.base._tilted_inv(self.h, u)
-        if out is None:
-            out = self.base.psi_inv(self.psi_h * u) - self.h
-        return np.maximum(out, 0.0)
+        return np.maximum(self.base._tilted_inv(self.h, u), 0.0)
 
     def _d2psi(self, t):
         return self.base.psi_deriv(t + self.h, 2) / self.psi_h
@@ -564,8 +563,10 @@ class OuterPowerGenerator(Generator):
         a = self.alpha
         s = np.power(t, a)
         first = self.base.psi_deriv(s, 2) * a * a * np.power(t, 2.0 * a - 2.0)
-        second = self.base.psi_deriv(s, 1) * a * (a - 1.0) * np.power(t, a - 2.0)
-        return first + second
+        if a == 1.0:
+            # the second term is psi'(0) * 0 * inf at t = 0
+            return first
+        return first + self.base.psi_deriv(s, 1) * a * (a - 1.0) * np.power(t, a - 2.0)
 
     def _log_neg_dpsi(self, t):
         # psi'(t^alpha) alpha t^(alpha - 1); the power is 1 at alpha = 1, also at t = 0
@@ -578,10 +579,7 @@ class OuterPowerGenerator(Generator):
         if h == 0.0:
             return self._psi_inv(u)
         ha = h**self.alpha
-        d = self.base._tilted_inv(ha, u)
-        if d is None:
-            d = np.maximum(self.base.psi_inv(self.base.psi(ha) * np.asarray(u)) - ha, 0.0)
-        return h * np.expm1(np.log1p(d / ha) / self.alpha)
+        return h * np.expm1(np.log1p(self.base._tilted_inv(ha, u) / ha) / self.alpha)
 
     def _frailty(self, h, rng, n):
         # Conditional decomposition of the stochastic representation S V^(1/alpha):

@@ -362,6 +362,47 @@ def test_c10_limiting_clayton():
     )
 
 
+def test_c10_limiting_clayton_copula_level():
+    # along t = s^w, s -> 0, the truncated copula tends to Clayton(theta/alpha)
+    # for an outer-power Clayton, and to independence for AMH, Frank and Joe,
+    # all to rounding by s = 1e-16; Gumbel tends to independence only
+    # logarithmically.  The distance is the sup over a fixed grid; it falls at
+    # every step until it reaches the rounding floor.
+    start = time.time()
+    axis = np.linspace(0.05, 0.95, 19)
+    grid = np.array([[a, b] for a in axis for b in axis])
+    ss = 10.0 ** -np.arange(1, 17)
+    floor = 1e-13
+    cases = [
+        (generator("clayton", 2.0, outer_alpha=1.0), ArchimedeanCopula(generator("clayton", 2.0)), 1e-14),
+        (generator("clayton", 2.0, outer_alpha=0.5), ArchimedeanCopula(generator("clayton", 4.0)), 1e-14),
+        (generator("clayton", 1.0, outer_alpha=0.7), ArchimedeanCopula(generator("clayton", 1.0 / 0.7)), 1e-14),
+        (generator("amh", 0.7), IndependenceCopula(2), 1e-13),
+        (generator("frank", 5.0), IndependenceCopula(2), 1e-13),
+        (generator("joe", 2.0), IndependenceCopula(2), 1e-13),
+        (generator("gumbel", 2.0), IndependenceCopula(2), 5e-3),
+    ]
+    last = []
+    for g, limit, bound in cases:
+        m = ArchimedeanCopula(g)
+        ref = limit.cdf(grid)
+        for w in ((1.0, 1.0), (1.0, 0.5)):
+            dist = np.array([
+                np.max(np.abs(truncate_general(m, s ** np.asarray(w)).cdf(grid) - ref)) for s in ss
+            ])
+            assert np.all((dist[1:] < dist[:-1]) | (dist[1:] <= floor)), (g, w, dist)
+            assert dist[-1] <= bound, (g, w, dist[-1])
+            last.append(dist[-1])
+    # Gumbel's distance falls like 1/log(1/s): it only halves from s = 1e-8 to 1e-16
+    assert dist[-1] > 1e-3 and dist[-1] > 0.4 * dist[7]
+    _report(
+        10,
+        time.time() - start,
+        10.0,
+        f"copula-level limits at s = 1e-16: largest non-Gumbel {max(last[:-2]):.1e}, Gumbel(2) {dist[-1]:.1e}",
+    )
+
+
 def test_c11_kendall_distribution():
     start = time.time()
     n = 100_000

@@ -140,6 +140,17 @@ class TestTailDepEqualThreshold:
         assert rep.lambda_lower == 0.0
         assert abs(rep.lambda_upper) <= 1e-6
 
+    def test_closed_truncation_is_its_model(self):
+        # a truncated Archimedean copula is Archimedean, hence exchangeable: at
+        # (s, s) its coefficients are those of its own truncation there
+        for fam, th in (("clayton", 2.0), ("gumbel", 2.0), ("joe", 2.0), ("frank", 4.0)):
+            tc = truncate_general(ArchimedeanCopula(generator(fam, th), 2), [0.5, 0.6])
+            for s in (0.3, 0.6):
+                rep = tail_dep_exchangeable_equal_t(tc, s)
+                lam_l, lam_u = model_tail_dep(truncate_general(tc, [s, s]))
+                assert rep.lambda_lower == pytest.approx(lam_l, abs=1e-6)
+                assert rep.lambda_upper == pytest.approx(lam_u, abs=1e-6)
+
     def test_non_exchangeable_rejected(self):
         with pytest.raises(ValueError):
             tail_dep_exchangeable_equal_t(MarshallOlkinCopula(0.2, 0.7), 0.5)

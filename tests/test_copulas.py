@@ -22,6 +22,7 @@ from trunca import (
     empirical_copula_distance,
     ev_scaling_check,
     generator,
+    model_tail_dep,
     oracle_sample,
     pseudo_observations,
     rng_stream,
@@ -694,6 +695,21 @@ def test_closed_truncations_sample_as_models(k, name):
     got = transform_margins(oracle_sample(tc, s, 100_000, rng_stream(k, 1)), tc, s)
     ref = sample_truncated(truncate_general(tc, s), 100_000, rng_stream(k, 0))
     assert empirical_copula_distance(got, ref) <= 0.015
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in ZOO if truncate_general(*ZOO[name]).route != "oracle"]
+)
+def test_closed_truncations_describe_as_models(name):
+    # exchangeability and tail coefficients are the model's; the product form's
+    # nest has neither
+    tc = truncate_general(*ZOO[name])
+    assert tc.exchangeable == tc.model.exchangeable == (tc.route != "product")
+    if tc.route == "product":
+        with pytest.raises(TypeError, match="NestedArchimedeanCopula"):
+            model_tail_dep(tc)
+    else:
+        assert model_tail_dep(tc) == model_tail_dep(tc.model)
 
 
 @settings(max_examples=50)

@@ -199,6 +199,13 @@ class TestOuterPower:
         ts = np.linspace(0.0, 20.0, 41)
         assert_allclose(np.asarray(op.psi(ts)), np.asarray(g.psi(ts)), atol=1e-15)
 
+    @pytest.mark.parametrize("fam", sorted(FAMILIES))
+    def test_alpha_one_second_derivative_is_the_base(self, fam):
+        # psi'(t) alpha (alpha - 1) t^(alpha - 2) is 0 * inf at t = 0, not a term, at alpha = 1
+        g = generator(fam, FAMILIES[fam][-1])
+        ts = np.array([0.0, 0.5, 3.0])
+        assert np.array_equal(g.outer_power(1.0).psi_deriv(ts, 2), g.psi_deriv(ts, 2))
+
     def test_gumbel_is_outer_power_of_independence(self):
         theta = 2.5
         op = generator("independence").outer_power(1.0 / theta)
