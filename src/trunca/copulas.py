@@ -11,13 +11,18 @@ chooses its own truncated form in ``_truncate`` and its own section inverse
 (``_section_inv_analytic``, if it has one): Archimedean models stay
 Archimedean with a tilted generator (tilt psi_inv(C(t))), so their truncation
 is again an ``ArchimedeanCopula``; nested Archimedean models keep a nested
-closed form, bivariate Marshall-Olkin models keep a piecewise closed form
-with an explicit singular curve, and independence and comonotonicity are
-fixed points, sharing one base.  Everything else (survival wrappers in
-particular) is the construction itself, ``GeneralTruncation``, which always
-inverts the sections numerically (an ITP bracket to a width relative to t_j)
-and is the reference every closed form is checked against.  Each truncated
-form in turn names its sampling ``route`` (see ``sampling.sample_truncated``).
+closed form (with an independence root, the product of the tilted sectors),
+bivariate Marshall-Olkin models keep a piecewise closed form with an explicit
+singular curve, and independence and comonotonicity are fixed points,
+sharing one base.  Everything else (survival wrappers in particular) is the
+construction itself, ``GeneralTruncation``, which always inverts the
+sections numerically (an ITP bracket to a width relative to t_j) and is the
+reference every closed form is checked against.  Each truncated form in turn
+names its sampling ``route`` (see ``sampling.sample_truncated``).
+
+Every Archimedean CDF is its generator's sum ``psi(sum_j psi_inv(u_j))``
+(``Generator._psi_sum``); a nest applies the root's sum to the sector values
+C_s(u_s), so an independence root multiplies them exactly.
 
 A truncated copula is itself a ``CopulaModel``, and truncations compose:
 truncating C_t at s is truncating C at t*_j = sec_j_inv(C(t) s_j), so a
@@ -35,7 +40,7 @@ from itertools import product
 import numpy as np
 
 from .frailty import sample_frailty
-from .generators import Generator, IndependenceGenerator, SamplingError
+from .generators import Generator, IndependenceGenerator, SamplingError, _columnwise
 
 __all__ = [
     "SamplingError",
@@ -180,24 +185,6 @@ def _itp_section_inv(model, j, y, t, top):
     return lo
 
 
-def _columnwise(op, block):
-    """``op.reduce(block, axis=-1)`` one column at a time, in column order.
-
-    Several times faster than numpy's row-by-row reduction of a short last
-    axis, and bitwise equal to it up to 7 columns (numpy's sum unrolls from 8).
-    """
-    # numpy's sum starts from +0, so columns of -0 sum to +0
-    out = block[..., 0] + 0.0 if op is np.add else block[..., 0].copy()
-    for j in range(1, block.shape[-1]):
-        op(out, block[..., j], out=out)
-    return out
-
-
-def _psi_sum(g, block):
-    """psi(sum_j psi_inv(x_j)) over the last axis of ``block``."""
-    return g.psi(_columnwise(np.add, np.asarray(g.psi_inv(block))))
-
-
 def _shift(g, y, shift):
     """psi(max(psi_inv(y) - shift, 0)): move y down the generator scale by shift."""
     with np.errstate(invalid="ignore"):
@@ -273,7 +260,7 @@ class ArchimedeanCopula(CopulaModel):
         self.d = d
 
     def _cdf(self, pts):
-        return _psi_sum(self.generator, pts)
+        return self.generator._psi_sum(pts)
 
     def _section_inv_analytic(self, j, y, t):
         g = self.generator
@@ -336,26 +323,24 @@ class NestedArchimedeanCopula(CopulaModel):
     def _sector_cdf(self, s, block):
         if block.shape[1] == 1:
             return block[:, 0]
-        return _psi_sum(self.sectors[s][0], block)
+        return self.sectors[s][0]._psi_sum(block)
+
+    def _sector_tops(self, t):
+        """The sector values C_s(t_s) at a threshold t, one float per sector."""
+        return [float(self._sector_cdf(s, np.asarray(t[sl])[None, :])[0])
+                for s, sl in enumerate(self.slices)]
 
     def _cdf(self, pts):
-        root = self.root
-        total = np.zeros(pts.shape[0])
-        for s, sl in enumerate(self.slices):
-            inner = self._sector_cdf(s, pts[:, sl])
-            total = total + np.asarray(root.psi_inv(inner))
-        return np.asarray(root.psi(total))
+        sectors = [self._sector_cdf(s, pts[:, sl]) for s, sl in enumerate(self.slices)]
+        return self.root._psi_sum(np.column_stack(sectors))
 
     def _section_inv_analytic(self, j, y, t):
         s = next(s for s, sl in enumerate(self.slices) if j < sl.stop)
         g = self.sectors[s][0]
         root = self.root
         sl = self.slices[s]
-        outer_rest = 0.0
-        for s2, sl2 in enumerate(self.slices):
-            if s2 != s:
-                c2 = float(self._sector_cdf(s2, np.asarray(t[sl2])[None, :])[0])
-                outer_rest += float(root.psi_inv(c2))
+        tops = self._sector_tops(t)
+        outer_rest = sum(float(root.psi_inv(c)) for s2, c in enumerate(tops) if s2 != s)
         inner_rest = float(
             np.asarray(g.psi_inv(np.delete(t[sl], j - sl.start))).sum()
         )
@@ -365,10 +350,10 @@ class NestedArchimedeanCopula(CopulaModel):
         if not isinstance(self.root, IndependenceGenerator):
             return NestedTruncation(self, tp)
         # an independence root makes the truncation the product of the
-        # truncated sectors: the same nest with each sector's tilted generator
+        # truncated sectors: the same nest with each sector tilted by psi_s_inv(C_s(t_s))
         sectors = [
-            (g if ds == 1 else truncate_general(ArchimedeanCopula(g, ds), tp.t[sl]).tilted, ds)
-            for (g, ds), sl in zip(self.sectors, self.slices)
+            (g if ds == 1 else g.tilt(g.psi_inv(c)), ds)
+            for (g, ds), c in zip(self.sectors, self._sector_tops(tp.t))
         ]
         return ProductTruncation(self, tp, NestedArchimedeanCopula(self.root, sectors))
 
@@ -583,13 +568,6 @@ class ProductTruncation(ModelTruncation):
     form = "product"
     route = "product"
 
-    def _cdf(self, pts):
-        # the exact product; the nested form psi(sum psi_inv) would round differently
-        out = np.ones(pts.shape[0])
-        for s, sl in enumerate(self.model.slices):
-            out = out * np.clip(self.model._sector_cdf(s, pts[:, sl]), 0.0, 1.0)
-        return out
-
 
 class NestedTruncation(TruncatedCopula):
     """Closed form of a truncated nested Archimedean copula.
@@ -610,10 +588,9 @@ class NestedTruncation(TruncatedCopula):
         self.h0 = float(root.psi_inv(c))
         self.a_s = []
         self.b_s = []
-        for s, sl in enumerate(m.slices):
-            cs = float(m._sector_cdf(s, np.asarray(point.t[sl])[None, :])[0])
+        for cs, (g, _) in zip(m._sector_tops(point.t), m.sectors):
             self.a_s.append(self.h0 - float(root.psi_inv(cs)))
-            self.b_s.append(float(m.sectors[s][0].psi_inv(cs)))
+            self.b_s.append(float(g.psi_inv(cs)))
         self._tilted_root = root.tilt(self.h0)
 
     def _sector_map(self, s, block):
@@ -654,7 +631,7 @@ class NestedTruncation(TruncatedCopula):
         u2 = np.asarray(u2, dtype=float)
         pair = np.stack(np.broadcast_arrays(u1, u2), axis=-1)
         if s1 != s2:
-            return _psi_sum(self._tilted_root, pair)
+            return self._tilted_root._psi_sum(pair)
         a = self.a_s[s1]
         return np.asarray(m.root.psi(a + self._sector_map(s1, pair))) / self.point.c_of_t
 

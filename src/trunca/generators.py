@@ -9,7 +9,12 @@ laws in ``frailty``) and its analytic tail coefficients
 ``_d2psi``, plus ``_psi`` where it is more exact.  The base class holds the
 tilted inverse ``psi_inv(psi(h) u) - h`` (``_tilted_inv``); independence,
 Clayton, Gumbel and the outer power override it only to avoid the
-cancelling difference.
+cancelling difference.  Where ``psi(h) u`` is below the smallest normal
+float, the base form takes AMH's, Frank's and Joe's exponential tail
+``log K - log(psi(h) u)``; the Gumbel and outer-power forms ``h expm1(L)``
+take ``exp(log h + L)`` where a tiny tilt overflows ``expm1``.  A generator
+evaluates the Archimedean sum ``psi(sum_j psi_inv(x_j))`` (``_psi_sum``) of
+its copulas, flat or nested; independence's is the exact product.
 As the root of a nested model a family also says which sector generators
 nest under it (``_nests``) and how to draw a sector's frailty given the
 root's (``_inner_frailty``); roots without an inner law raise
@@ -55,6 +60,7 @@ __all__ = [
 ]
 
 _LOG2 = 0.6931471805599453
+_TINY = np.finfo(float).tiny  # the smallest normal float64
 
 
 class SamplingError(RuntimeError):
@@ -93,6 +99,26 @@ def _validated_u(u):
 
 def _scalar_like(out, ref):
     return float(out) if np.ndim(ref) == 0 else out
+
+
+def _h_expm1(h, x):
+    """h expm1(x) for h > 0, finite where expm1(x) overflows but the product does not."""
+    out = h * np.expm1(x)
+    big = x >= 700.0
+    return np.where(big, np.exp(np.log(h) + x), out) if np.any(big) else out
+
+
+def _columnwise(op, block):
+    """``op.reduce(block, axis=-1)`` one column at a time, in column order.
+
+    Several times faster than numpy's row-by-row reduction of a short last
+    axis, and bitwise equal to it up to 7 columns (numpy's sum unrolls from 8).
+    """
+    # numpy's sum starts from +0, so columns of -0 sum to +0
+    out = block[..., 0] + 0.0 if op is np.add else block[..., 0].copy()
+    for j in range(1, block.shape[-1]):
+        op(out, block[..., j], out=out)
+    return out
 
 
 class Generator:
@@ -153,6 +179,10 @@ class Generator:
             out = self._log_neg_dpsi(t)
         return _scalar_like(out, t)
 
+    def _psi_sum(self, block):
+        """psi(sum_j psi_inv(x_j)) over the last axis of ``block``: the Archimedean sum."""
+        return self.psi(_columnwise(np.add, np.asarray(self.psi_inv(block))))
+
     def tilt(self, h):
         """The generator psi(. + h)/psi(h)."""
         return TiltedGenerator(self, h)
@@ -164,7 +194,15 @@ class Generator:
     def _tilted_inv(self, h, u):
         # psi_h^-1(u) = psi_inv(psi(h) u) - h, with the family's own psi; a family
         # overrides it where it can avoid the cancelling difference
-        return self._psi_inv(self._psi(h) * u) - h
+        v = self._psi(h) * u
+        out = self._psi_inv(v) - h
+        tiny = v < _TINY
+        if np.any(tiny):
+            # v lost digits or underflowed: on the exponential tail psi(t) ~ K e^-t
+            # of AMH, Frank and Joe, psi_inv(v) = log K - log v
+            log_k = self._log_psi(745.0) + 745.0
+            out = np.where(tiny, log_k - self._log_psi(h) - h - np.log(u), out)
+        return out
 
     def _frailty(self, h, rng, n):
         """n draws of the frailty tilted by e^{-hv}, Laplace transform psi(t + h)/psi(h)."""
@@ -223,6 +261,10 @@ class IndependenceGenerator(Generator):
     def _tilted_inv(self, h, u):
         # tilting the exponential generator is the identity
         return -np.log(u)
+
+    def _psi_sum(self, block):
+        # exp(-sum_j -log x_j) is the product, which is exact
+        return _columnwise(np.multiply, block)
 
     def _frailty(self, h, rng, n):
         return np.ones(n)
@@ -398,7 +440,7 @@ class GumbelGenerator(Generator):
         if h == 0.0:
             return self._psi_inv(u)
         x = -np.log(u)
-        return h * np.expm1(self.theta * np.log1p(x * h ** (-1.0 / self.theta)))
+        return _h_expm1(h, self.theta * np.log1p(x * h ** (-1.0 / self.theta)))
 
     def _frailty(self, h, rng, n):
         # the positive stable law tilts to the exponentially tilted stable
@@ -579,7 +621,7 @@ class OuterPowerGenerator(Generator):
         if h == 0.0:
             return self._psi_inv(u)
         ha = h**self.alpha
-        return h * np.expm1(np.log1p(self.base._tilted_inv(ha, u) / ha) / self.alpha)
+        return _h_expm1(h, np.log1p(self.base._tilted_inv(ha, u) / ha) / self.alpha)
 
     def _frailty(self, h, rng, n):
         # Conditional decomposition of the stochastic representation S V^(1/alpha):

@@ -415,6 +415,15 @@ class TestNested:
         got = sample_truncated(tc, 1000, rng_stream(14))
         assert np.array_equal(got.data, sample_model(tc.model, 1000, rng_stream(14)))
 
+    def test_independence_root_is_the_exact_product(self):
+        g = generator("clayton", 2.0)
+        m = NestedArchimedeanCopula(generator("independence"), [(g, 2), (generator("gumbel", 3.0), 1)])
+        u = np.random.default_rng(15).random((500, 3))
+        want = np.atleast_1d(ArchimedeanCopula(g, 2).cdf(u[:, :2])) * u[:, 2]
+        assert np.array_equal(m.cdf(u), want)
+        flat = ArchimedeanCopula(generator("independence"), 3)
+        assert np.array_equal(flat.cdf(u), IndependenceCopula(3).cdf(u))
+
     def test_cross_sector_margin_is_tilted_root(self):
         m, t = self.make()
         tc = truncate_general(m, t)

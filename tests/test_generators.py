@@ -1,14 +1,18 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from trunca import (
+    ArchimedeanCopula,
     OuterPowerGenerator,
     TiltedGenerator,
     generator,
     generator_from_dict,
     generator_to_dict,
     log1mexp,
+    truncate_general,
 )
 
 FAMILIES = {
@@ -130,6 +134,20 @@ def test_log1mexp_regimes():
     assert log1mexp(-1e-300) < -600.0  # ~ log(1e-300)
 
 
+def _decimal_generator(fam, th):
+    """(psi, psi_inv) of an AMH, Frank or Joe generator in the current decimal context."""
+    one = Decimal(1)
+    if fam == "frank":
+        p = one - (-th).exp()
+        return (lambda t: -(one - p * (-t).exp()).ln() / th,
+                lambda v: p.ln() - (one - (-th * v).exp()).ln())
+    if fam == "joe":
+        return (lambda t: one - (one - (-t).exp()) ** (one / th),
+                lambda v: -(one - (one - v) ** th).ln())
+    return (lambda t: (one - th) / (t.exp() - th),
+            lambda v: ((one - th * (one - v)) / v).ln())
+
+
 class TestTilt:
     def test_clayton_tilt_is_rescaled_clayton(self):
         g = generator("clayton", 2.0)
@@ -184,6 +202,39 @@ class TestTilt:
     def test_negative_tilt_rejected(self):
         with pytest.raises(ValueError):
             generator("clayton", 2.0).tilt(-0.1)
+
+    def test_generic_inverse_where_psi_h_u_underflows(self):
+        # psi(80) 1e-300 underflows to 0; the exponential tail gives -log u
+        assert generator("frank", 4.0).tilt(80.0).psi_inv(1e-300) == pytest.approx(
+            690.7755278982137, rel=1e-15)
+        tc = truncate_general(ArchimedeanCopula(generator("frank", 4.0)), [1e-30, 1e-30])
+        assert tc.tilted.h == pytest.approx(135.3, abs=0.1)
+        # near independence at this tilt: C_t(u1, u2) ~ u1 u2
+        assert tc.cdf([1e-300, 0.5]) == pytest.approx(5e-301, rel=1e-12)
+
+    @pytest.mark.parametrize("g", [generator("gumbel", 20.0), generator("clayton", 2.0, 0.05)])
+    def test_tiny_tilts_near_one(self, g):
+        # h = 8.1e-320 (Gumbel) and 8.5e-314 (outer power): h expm1(L) with L > 709
+        m = ArchimedeanCopula(g)
+        tc = truncate_general(m, [1.0 - 2.0**-53, 1.0])
+        assert 0.0 < tc.tilted.h < 1e-312
+        assert np.isfinite(tc.tilted.psi_inv(0.5))
+        u = np.random.default_rng(16).random((1000, 2))
+        assert_allclose(tc.cdf(u), m.cdf(u), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("fam,theta", [("frank", 4.0), ("frank", 40.0), ("joe", 5.0),
+                                           ("amh", 0.7)])
+    def test_generic_inverse_against_decimal(self, fam, theta):
+        # 1 - e^(-theta v) at v ~ psi(600) 1e-300 needs some 900 digits
+        with localcontext() as ctx:
+            ctx.prec = 900
+            psi, inv = _decimal_generator(fam, Decimal(theta))
+            for h in (0.3, 80.0, 135.0, 600.0):
+                psi_h = psi(Decimal(h))
+                u = np.array([1e-300, 1e-250, 1e-200, 1e-10, 0.5])
+                want = np.array([float(inv(psi_h * Decimal(x)) - Decimal(h)) for x in u])
+                got = generator(fam, theta).tilt(h).psi_inv(u)
+                assert_allclose(got, want, rtol=2e-13, atol=0.0, err_msg=f"h = {h}")
 
 
 class TestOuterPower:

@@ -12,6 +12,9 @@ found on the import path:
   survival and both fixed points): truncated CDFs on a fixed grid, by the
   model's own form and by bisection, ``sample_truncated`` rows with their
   meta, a composed truncation's CDF and rows, and section inverses;
+* float64 edges: every family's tilted inverse at tilts 600 and 5e-320 with
+  u down to 1e-300, and truncations whose tilt is huge (Frank at t = 1e-30)
+  or subnormal (Gumbel(20) and an outer power with alpha 0.05 at t near 1);
 * every CLI command, run in-process into a temporary directory: the bytes
   of each file it writes, and its exit code.
 
@@ -45,13 +48,15 @@ def _json_digest(obj):
     return _sha(json.dumps(obj, sort_keys=True, default=repr).encode())
 
 
+_FAMS = [("independence", None), ("clayton", 2.0), ("amh", 0.7), ("frank", 4.0),
+         ("frank", 30.0), ("gumbel", 2.0), ("joe", 2.0)]
+
+
 def _generators(tr):
-    fams = [("independence", None), ("clayton", 2.0), ("amh", 0.7), ("frank", 4.0),
-            ("frank", 30.0), ("gumbel", 2.0), ("joe", 2.0)]
     t = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 40)])
     u = np.concatenate([np.geomspace(1e-12, 0.5, 30), np.linspace(0.5, 1.0, 11)])
     out = {}
-    for fam, theta in fams:
+    for fam, theta in _FAMS:
         for alpha in (None, 1.0, 0.6):
             g = tr.generator(fam, theta, alpha)
             key = f"gen/{fam}({theta})/op({alpha})"
@@ -105,7 +110,35 @@ def _model_zoo(tr):
         "marshall-olkin": (tr.MarshallOlkinCopula(0.2, 0.7), [0.6, 0.9], [0.6, 0.6]),
         "survival-gumbel": (tr.survival(arch(g("gumbel", 2.0), 2)), [0.5, 0.8], [0.6, 0.6]),
         "survival-clayton": (tr.survival(arch(g("clayton", 2.0), 2)), [0.4, 0.4], [0.6, 0.6]),
+        "independence-generator3": (arch(g("independence"), 3), [0.5, 0.6, 0.9], [0.7, 0.6, 0.5]),
     }
+
+
+def _edges(tr):
+    """Tilted inverses at a huge and a subnormal tilt, and truncations at float64 edges."""
+    arch = tr.ArchimedeanCopula
+    u = np.geomspace(1e-300, 1.0, 61)
+    out = {}
+    for fam, theta in _FAMS:
+        for alpha in (None, 0.6):
+            g = tr.generator(fam, theta, alpha)
+            for h in (600.0, 5e-320):
+                out[f"edge/gen/{fam}({theta})/op({alpha})/tilt({h})/psi_inv"] = _array_digest(
+                    g.tilt(h).psi_inv(u))
+    near_one = [1.0 - 2.0**-53, 1.0]
+    cases = {
+        "frank-tiny-t": (arch(tr.generator("frank", 4.0)), [1e-30, 1e-30]),
+        "gumbel20-near-one": (arch(tr.generator("gumbel", 20.0)), near_one),
+        "op-clayton-near-one": (arch(tr.generator("clayton", 2.0, 0.05)), near_one),
+    }
+    grid = np.concatenate([np.random.default_rng(0).random((64, 2)),
+                           np.column_stack([np.geomspace(1e-300, 1.0, 16), np.full(16, 0.5)])])
+    for name, (m, t) in cases.items():
+        tc = tr.truncate_general(m, t)
+        out[f"edge/model/{name}/c_of_t"] = _array_digest(tc.point.c_of_t)
+        out[f"edge/model/{name}/cdf"] = _array_digest(tc.cdf(grid))
+        out[f"edge/model/{name}/tilted-psi_inv"] = _array_digest(tc.tilted.psi_inv(u))
+    return out
 
 
 def _models(tr):
@@ -222,7 +255,7 @@ def _cli(tr):
 def digests():
     import trunca as tr
 
-    return {**_generators(tr), **_models(tr), **_cli(tr)}
+    return {**_generators(tr), **_models(tr), **_edges(tr), **_cli(tr)}
 
 
 def diff(a_path, b_path):
