@@ -30,6 +30,9 @@ truncation of a truncation comes back in the source's own closed form.
 Each model class also knows its analytic tail coefficients (``_tail_dep``)
 and whether it is ``exchangeable``, and draws its own rows in ``_sample``,
 so a closed truncation samples, and reports both, as the model it is.
+The rejection oracle keeps the rows inside [0, t] of n draws by ``_propose``;
+nests and Marshall-Olkin stop a proposal at its first block outside t, and
+their ``_sample`` is ``_propose`` at t = 1.
 """
 
 from __future__ import annotations
@@ -82,6 +85,14 @@ def _unit_points(u, d):
     return np.clip(pts, 0.0, 1.0), squeeze
 
 
+def _inside(u, t):
+    """``np.all(u <= t, axis=1)`` by one ``&=`` per column, not per row."""
+    ok = u[:, 0] <= t[0]
+    for j in range(1, u.shape[1]):
+        ok &= u[:, j] <= t[j]
+    return ok
+
+
 class CopulaModel:
     """Base class: CDF evaluation plus coordinate sections and their inverses."""
 
@@ -99,6 +110,11 @@ class CopulaModel:
     def _sample(self, n, rng):
         """n >= 1 rows of the model, as an (n, d) array."""
         raise TypeError(f"no sampler for model type {type(self).__name__}")
+
+    def _propose(self, n, t, rng):
+        """The rows inside [0, t] of n rows drawn from the model, in draw order."""
+        u = self._sample(n, rng)
+        return u[_inside(u, t)]
 
     def cdf(self, u):
         """C(u) for a point (d,) or a stack of points (n, d)."""
@@ -358,13 +374,20 @@ class NestedArchimedeanCopula(CopulaModel):
         return ProductTruncation(self, tp, NestedArchimedeanCopula(self.root, sectors))
 
     def _sample(self, n, rng):
-        """U_j = psi_s(E_j / V_s), with V_s drawn from the root's inner law given V0."""
+        return self._propose(n, np.ones(self.d), rng)
+
+    def _propose(self, n, t, rng):
+        """U_j = psi_s(E_j / V_s), V_s from the root's inner law given V0, one
+        sector at a time for the rows still inside t."""
         out = np.empty((n, self.d))
         v0 = sample_frailty(self.root, 0.0, rng, size=n)
         for (g, ds), sl in zip(self.sectors, self.slices):
             vs = self.root._inner_frailty(g, v0, rng)
-            e = rng.standard_exponential((n, ds))
+            e = rng.standard_exponential((v0.size, ds))
             out[:, sl] = np.asarray(g.psi(e / vs[:, None]))
+            if np.any(t[sl] < 1.0):
+                ok = _inside(out[:, sl], t[sl])
+                out, v0 = out[ok], v0[ok]
         return out
 
     def __repr__(self):
@@ -416,12 +439,22 @@ class MarshallOlkinCopula(CopulaModel):
         return 0.0, min(self.alpha1, self.alpha2)
 
     def _sample(self, n, rng):
-        # shock construction: independent uniform shocks, one shared
+        return self._propose(n, np.ones(2), rng)
+
+    def _propose(self, n, t, rng):
+        # shock construction: independent uniform shocks, one shared.  U <= t
+        # exactly when Z1 <= t1^(1-a1), Z2 <= t2^(1-a2) and Z3 <= min(t1^a1, t2^a2):
+        # test the shocks first, with a slack that keeps every row the exact test keeps
         z = rng.random((n, 3))
         a1, a2 = self.alpha1, self.alpha2
+        cut = bool(np.any(t < 1.0))
+        if cut:
+            top = [t[0] ** (1.0 - a1), t[1] ** (1.0 - a2), min(t[0] ** a1, t[1] ** a2)]
+            z = z[_inside(z, np.multiply(top, 1.0 + 1e-12))]
         u1 = np.maximum(z[:, 0] ** (1.0 / (1.0 - a1)), z[:, 2] ** (1.0 / a1))
         u2 = np.maximum(z[:, 1] ** (1.0 / (1.0 - a2)), z[:, 2] ** (1.0 / a2))
-        return np.column_stack([u1, u2])
+        u = np.column_stack([u1, u2])
+        return u[_inside(u, t)] if cut else u
 
     def __repr__(self):
         return f"MarshallOlkinCopula({self.alpha1!r}, {self.alpha2!r})"
@@ -545,6 +578,9 @@ class ModelTruncation(TruncatedCopula):
 
     def _sample(self, n, rng):
         return self.model._sample(n, rng)
+
+    def _propose(self, n, t, rng):
+        return self.model._propose(n, t, rng)
 
 
 class TiltedArchimedeanTruncation(ModelTruncation):

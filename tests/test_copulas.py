@@ -34,7 +34,7 @@ from trunca import (
     truncate_general,
     truncated_cdf,
 )
-from trunca.copulas import BISECT_WIDTH, CopulaModel, _columnwise, _itp_section_inv
+from trunca.copulas import BISECT_WIDTH, CopulaModel, _columnwise, _inside, _itp_section_inv
 
 
 def model_zoo():
@@ -719,6 +719,52 @@ def test_closed_truncations_describe_as_models(name):
             model_tail_dep(tc)
     else:
         assert model_tail_dep(tc) == model_tail_dep(tc.model)
+
+
+# every zoo model, and the truncations of those whose truncation is a model again
+PROPOSERS = {**{name: m for name, (m, _) in ZOO.items()},
+             **{f"{name}@t": truncate_general(*ZOO[name]) for name in ZOO
+                if truncate_general(*ZOO[name]).route != "oracle"}}
+
+
+@pytest.mark.parametrize("name", sorted(PROPOSERS))
+@settings(max_examples=25)
+@given(n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
+       how=st.sampled_from(["one", "unit-coordinate", "tie", "row"]), data=st.data())
+def test_propose_keeps_rows_inside_t_in_draw_order(name, n, seed, how, data):
+    m = PROPOSERS[name]
+    ref = m._sample(n, rng_stream(seed))
+    assert np.array_equal(m._propose(n, np.ones(m.d), rng_stream(seed)), ref)
+    t = np.ones(m.d)
+    if how != "one":
+        t = data.draw(_unit_vectors(m.d, 0.05), label="t")
+        j = data.draw(st.integers(0, m.d - 1), label="j")
+        row = ref[data.draw(st.integers(0, n - 1), label="row")]
+        if how == "unit-coordinate":
+            t[j] = 1.0
+        elif how == "tie":
+            # a drawn row inside t, on its boundary at coordinate j
+            t = np.maximum(t, row)
+            t[j] = row[j]
+        else:
+            t = row
+    got = m._propose(n, t, rng_stream(seed))
+    assert got.shape[1] == m.d and np.all(got <= t)
+    nest = getattr(m, "model", m)
+    if not isinstance(nest, NestedArchimedeanCopula):
+        # bitwise the rejection of the model's own rows, ties u_j == t_j kept
+        assert np.array_equal(got, ref[_inside(ref, t)])
+        return
+    # a nest draws V0 and its first sector as _sample does, and drops rows as
+    # it goes: its first sectors are, in order, some of the sampled ones inside t
+    sl = nest.slices[0]
+    first = ref[:, sl][_inside(ref[:, sl], t[sl])]
+    k = 0
+    for row in got[:, sl]:
+        while k < len(first) and not np.array_equal(first[k], row):
+            k += 1
+        assert k < len(first), "rows out of draw order"
+        k += 1
 
 
 @settings(max_examples=50)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.optimize import brentq
 from scipy.stats import kstest, rankdata
 
 from trunca import (
@@ -236,6 +237,26 @@ class TestOracle:
         t = data.draw(hnp.arrays(np.float64, d, elements=st.floats(0.0, 1.0) | st.sampled_from(u.ravel())),
                       label="t")
         assert np.array_equal(_inside(u, t), np.all(u <= t, axis=1))
+
+    @pytest.mark.parametrize("c", [0.2, 0.02])
+    @pytest.mark.parametrize("one_d_first", [True, False], ids=["1d-first", "1d-last"])
+    @pytest.mark.parametrize("fam,th0,th1", [("clayton", 2.0, 6.0), ("gumbel", 2.0, 4.0)])
+    def test_nested_law(self, fam, th0, th1, one_d_first, c):
+        # a nest drops proposals sector by sector: the kept rows must still
+        # follow the truncated copula, at the rate C(t)
+        sectors = [(generator(fam, th0), 1), (generator(fam, th1), 2)]
+        m = NestedArchimedeanCopula(generator(fam, th0), sectors if one_d_first else sectors[::-1])
+        t = np.full(3, brentq(lambda s: m.cdf([s] * 3) - c, 1e-9, 1.0, xtol=1e-15))
+        raw = oracle_sample(m, t, 100_000, rng_stream(21))
+        u = transform_margins(raw, m, t).data
+        pts = np.random.default_rng(22).random((400, 3))
+        ecdf = np.array([np.mean(_inside(u, p)) for p in pts])
+        assert np.max(np.abs(ecdf - truncate_general(m, t).cdf(pts))) <= 0.015
+        meta = raw.meta
+        c_of_t = meta["c_of_t"]
+        assert c_of_t == pytest.approx(c, rel=1e-9)
+        se = np.sqrt(c_of_t * (1.0 - c_of_t) / meta["proposals"])
+        assert abs(meta["accept_rate"] - c_of_t) <= 4.0 * se
 
     def test_budget_exhaustion_diagnostic(self):
         # a model that claims C(t) = 1 gets a budget of 100 n = 1000 proposals,

@@ -11,7 +11,8 @@ found on the import path:
 * a fixed model zoo (every family, outer power, nests, Marshall-Olkin,
   survival and both fixed points): truncated CDFs on a fixed grid, by the
   model's own form and by bisection, ``sample_truncated`` rows with their
-  meta, a composed truncation's CDF and rows, and section inverses;
+  meta, the raw ``oracle_sample`` rows with their meta, a composed
+  truncation's CDF and rows, and section inverses;
 * float64 edges: every family's tilted inverse at tilts 600 and 5e-320 with
   u down to 1e-300, and truncations whose tilt is huge (Frank at t = 1e-30)
   or subnormal (Gumbel(20) and an outer power with alpha 0.05 at t near 1);
@@ -153,6 +154,9 @@ def _models(tr):
         sm = tr.sample_truncated(tc, 400, tr.rng_stream(k))
         out[f"{key}/sample"] = _array_digest(sm.data)
         out[f"{key}/sample-meta"] = _json_digest(sm.meta)
+        raw = tr.oracle_sample(m, t, 400, tr.rng_stream(k, 2))
+        out[f"{key}/oracle"] = _array_digest(raw.data)
+        out[f"{key}/oracle-meta"] = _json_digest(raw.meta)
         composed = tr.truncate_general(tc, s)
         out[f"{key}/composed-cdf"] = _array_digest(composed.cdf(grid))
         out[f"{key}/composed-sample"] = _array_digest(
