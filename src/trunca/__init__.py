@@ -19,8 +19,6 @@ from .generators import (
     OuterPowerGenerator,
     TiltedGenerator,
     generator,
-    generator_from_dict,
-    generator_to_dict,
     log1mexp,
 )
 from .copulas import (
@@ -74,6 +72,7 @@ from .analytics import (
     tail_dep_exchangeable_equal_t,
     tail_dep_tilted,
 )
-from .modelspec import SCHEMA, load_model, model_from_dict, model_to_dict, save_model
+from .modelspec import (SCHEMA, generator_from_dict, generator_to_dict, load_model, model_from_dict,
+                        model_to_dict, save_model)
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from .analytics import (
     tail_dep_exchangeable_equal_t,
     tail_dep_tilted,
 )
-from .copulas import ArchimedeanCopula, TruncationPoint, truncate_general
+from .copulas import TruncationPoint, truncate_general
 from .frailty import rng_stream
 from .modelspec import SCHEMA, load_model, model_from_dict, model_to_dict
 from .sampling import (
@@ -301,7 +301,7 @@ def cmd_kendall(args):
         if not np.all((us >= 0.0) & (us <= 1.0)):
             raise ConfigError("--u values must lie in [0, 1]")
     model, tp, tc = _truncated(args)
-    if us is not None and not (isinstance(model, ArchimedeanCopula) and model.d in (2, 3)):
+    if us is not None and not (tc.route == "tilted-frailty" and model.d in (2, 3)):
         raise ConfigError(
             "--u (the Kendall distribution) needs an Archimedean model with d in {2, 3}"
         )

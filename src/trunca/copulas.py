@@ -93,6 +93,16 @@ def _inside(u, t):
     return ok
 
 
+def _dimension(d):
+    """A dimension as an int: 3 and 3.0 pass; 2.9, "3" and True raise ValueError."""
+    try:
+        if int(d) == d and type(d) not in (bool, np.bool_):
+            return int(d)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"a dimension must be a whole number, got {d!r}")
+
+
 class CopulaModel:
     """Base class: CDF evaluation plus coordinate sections and their inverses."""
 
@@ -213,7 +223,7 @@ class _FixedPoint(CopulaModel):
     exchangeable = True
 
     def __init__(self, d=2):
-        d = int(d)
+        d = _dimension(d)
         if d < 2:
             raise ValueError("copula dimension must be at least 2")
         self.d = d
@@ -267,7 +277,7 @@ class ArchimedeanCopula(CopulaModel):
     exchangeable = True
 
     def __init__(self, generator, d=2):
-        d = int(d)
+        d = _dimension(d)
         if d < 2:
             raise ValueError("copula dimension must be at least 2")
         if not isinstance(generator, Generator):
@@ -314,7 +324,7 @@ class NestedArchimedeanCopula(CopulaModel):
     kind = "nested_archimedean"
 
     def __init__(self, root, sectors):
-        sectors = [(g, int(ds)) for g, ds in sectors]
+        sectors = [(g, _dimension(ds)) for g, ds in sectors]
         if not sectors:
             raise ValueError("need at least one sector")
         if any(ds < 1 for _, ds in sectors):

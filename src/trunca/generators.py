@@ -54,8 +54,6 @@ __all__ = [
     "TiltedGenerator",
     "OuterPowerGenerator",
     "generator",
-    "generator_from_dict",
-    "generator_to_dict",
     "log1mexp",
 ]
 
@@ -684,30 +682,3 @@ def generator(family, theta=None, outer_alpha=None):
     if outer_alpha is not None:
         g = OuterPowerGenerator(g, outer_alpha)
     return g
-
-
-def generator_to_dict(g):
-    """JSON form, e.g. {"family": "clayton", "theta": 2.0} (+ "outer_alpha")."""
-    if isinstance(g, TiltedGenerator):
-        raise ValueError("tilted generators are derived objects without a JSON form")
-    if isinstance(g, OuterPowerGenerator):
-        out = generator_to_dict(g.base)
-        out["outer_alpha"] = g.alpha
-        return out
-    out = {"family": g.family}
-    if g.theta is not None:
-        out["theta"] = g.theta
-    return out
-
-
-def generator_from_dict(spec):
-    """Inverse of :func:`generator_to_dict`; rejects unknown fields."""
-    spec = dict(spec)
-    family = spec.pop("family", None)
-    if family is None:
-        raise ValueError("generator spec requires a 'family' field")
-    theta = spec.pop("theta", None)
-    outer_alpha = spec.pop("outer_alpha", None)
-    if spec:
-        raise ValueError(f"unknown generator fields: {sorted(spec)}")
-    return generator(family, theta, outer_alpha)

@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _CSV_BLOCK_ROWS = 4096
+# the most proposals one oracle pass holds in memory; more passes make up the rest
+_ORACLE_PASS_MAX = 250_000
 
 
 @dataclass
@@ -96,8 +98,9 @@ def oracle_sample(model, t, n, rng):
     Returns conditional rows on the *original* scale (inside [0, t]); map
     them through :func:`transform_margins` to reach the truncated copula
     scale.  Each pass proposes min(1.25 need, need + 3 sqrt(need)) / C(t)
-    rows (clipped to [1024, 4e6]) for the ``need`` rows still missing, about
-    (1 + 3/sqrt(n)) / C(t) proposals per kept row.  The budget is
+    rows for the ``need`` rows still missing, about (1 + 3/sqrt(n)) / C(t)
+    proposals per kept row, clipped to [1024, 2.5e5] (``_ORACLE_PASS_MAX``)
+    so that a pass's memory is bounded at any C(t).  The budget is
     100 n / C(t) proposals, after which a diagnostic error reports the
     observed acceptance rate against C(t).
 
@@ -115,7 +118,7 @@ def oracle_sample(model, t, n, rng):
     while kept < n:
         need = n - kept
         batch = np.ceil(min(1.25 * need, need + 3.0 * np.sqrt(need)) / tp.c_of_t)
-        b = min(int(np.clip(batch, 1024, 4_000_000)), max_tries - proposals)
+        b = min(int(np.clip(batch, 1024, _ORACLE_PASS_MAX)), max_tries - proposals)
         if b <= 0:
             rate = kept / proposals if proposals else float("nan")
             raise SamplingError(

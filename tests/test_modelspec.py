@@ -14,7 +14,10 @@ from trunca import (
     model_to_dict,
     save_model,
     survival,
+    truncate_general,
 )
+from trunca.cli import main
+from trunca.copulas import CopulaModel
 
 SPECS = [
     {"kind": "independence", "d": 3},
@@ -101,3 +104,65 @@ BAD_SPECS = {
 def test_unknown_fields_rejected(spec):
     with pytest.raises(ValueError, match="unknown"):
         model_from_dict(spec)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_specs_cover_every_kind():
+    # a new model class with a kind must get a row in the schema and a spec here
+    kinds = {cls.kind for cls in _subclasses(CopulaModel) if cls.kind}
+    assert {s["kind"] for s in SPECS} == kinds
+
+
+def test_truncation_has_no_spec():
+    tc = truncate_general(model_from_dict(SPECS[2]), [0.5, 0.5])
+    with pytest.raises(TypeError):
+        model_to_dict(tc)
+
+
+# where a dimension sits: a fixed point's d, an Archimedean model's d, a sector's d
+def _with_d(where, d):
+    if where == "independence":
+        return {"kind": "independence", "d": d}
+    if where == "archimedean":
+        return {"kind": "archimedean", "generator": CLAYTON_GEN, "d": d}
+    return {
+        "kind": "nested_archimedean",
+        "root": CLAYTON_GEN,
+        "sectors": [{"generator": CLAYTON_GEN, "d": 1}, {"generator": CLAYTON_GEN, "d": d}],
+    }
+
+
+DIM_SITES = ["independence", "archimedean", "sector"]
+
+
+@pytest.mark.parametrize("where", DIM_SITES)
+@pytest.mark.parametrize("d", [3, 3.0])
+def test_whole_dimension_loads(where, d):
+    m = model_from_dict(_with_d(where, d))
+    assert m.d == (4 if where == "sector" else 3)
+    assert type(m.d) is int
+
+
+@pytest.mark.parametrize("where", DIM_SITES)
+@pytest.mark.parametrize("d", [2.9, 3.7, 1.9, "3", True], ids=repr)
+def test_dimension_must_be_whole(where, d, tmp_path, capsys):
+    spec = _with_d(where, d)
+    with pytest.raises(ValueError, match="whole number"):
+        model_from_dict(spec)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(spec))
+    assert main(["cdf", "--model", str(path), "--u", ",".join(["0.5"] * 4)]) == 2
+    assert "whole number" in capsys.readouterr().err
+
+
+def test_missing_generator_is_config_error(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"schema": "trunca/1", "kind": "archimedean", "d": 2}))
+    assert main(["cdf", "--model", str(path), "--u", "0.5,0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'generator'" in err

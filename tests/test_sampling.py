@@ -218,7 +218,7 @@ class TestOracle:
         assert sm.meta["proposals"] <= np.ceil((n + 3.0 * np.sqrt(n)) / c)
 
     def test_batches_past_the_cap(self):
-        # (n + 3 sqrt(n)) / C(t) is above the 4e6 proposals of one batch
+        # (n + 3 sqrt(n)) / C(t) is about 4.9e6 proposals, far past the cap of one pass
         m, n = MarshallOlkinCopula(0.3, 0.6), 12_000
         t = np.array([0.0025 ** (1 / 1.7)] * 2)
         sm = oracle_sample(m, t, n, rng_stream(19))
@@ -228,6 +228,21 @@ class TestOracle:
         assert meta["accepted"] >= n
         c = meta["c_of_t"]
         assert abs(meta["accept_rate"] - c) <= 4 * np.sqrt(c * (1 - c) / meta["proposals"])
+
+    def test_pass_holds_at_most_the_cap(self, monkeypatch):
+        # at C(t) = 0.02 one pass of (n + 3 sqrt(n)) / C(t) would hold 261,226 proposals
+        passes = []
+        propose = MarshallOlkinCopula._propose
+
+        def spy(self, n, t, rng):
+            passes.append(n)
+            return propose(self, n, t, rng)
+
+        monkeypatch.setattr(MarshallOlkinCopula, "_propose", spy)
+        sm = oracle_sample(MarshallOlkinCopula(0.3, 0.6), (0.1, 0.1), 5000, rng_stream(1))
+        assert sm.meta["c_of_t"] == pytest.approx(0.02, rel=0.01)
+        assert sm.n == 5000 and sum(passes) == sm.meta["proposals"]
+        assert len(passes) >= 2 and max(passes) <= 250_000
 
     @settings(max_examples=200)
     @given(data=st.data(), n=st.integers(1, 40), d=st.integers(2, 7))

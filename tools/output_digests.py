@@ -9,10 +9,12 @@ found on the import path:
 * generators: psi, psi_inv, both derivatives and tilted inverses of every
   family, plain and outer-powered, on fixed grids;
 * a fixed model zoo (every family, outer power, nests, Marshall-Olkin,
-  survival and both fixed points): truncated CDFs on a fixed grid, by the
-  model's own form and by bisection, ``sample_truncated`` rows with their
-  meta, the raw ``oracle_sample`` rows with their meta, a composed
-  truncation's CDF and rows, and section inverses;
+  survival and both fixed points): the bytes of each model's
+  ``model_to_dict`` spec and of that spec loaded and written again,
+  truncated CDFs on a fixed grid, by the model's own form and by bisection,
+  ``sample_truncated`` rows with their meta, the raw ``oracle_sample`` rows
+  with their meta, a composed truncation's CDF and rows, and section
+  inverses;
 * float64 edges: every family's tilted inverse at tilts 600 and 5e-320 with
   u down to 1e-300, and truncations whose tilt is huge (Frank at t = 1e-30)
   or subnormal (Gumbel(20) and an outer power with alpha 0.05 at t near 1);
@@ -148,6 +150,9 @@ def _models(tr):
         grid = np.random.default_rng(k).random((64, m.d))
         key = f"model/{name}"
         tc = tr.truncate_general(m, t)
+        spec = tr.model_to_dict(m)
+        out[f"{key}/spec"] = _sha(json.dumps(spec).encode())
+        out[f"{key}/spec-roundtrip"] = _sha(json.dumps(tr.model_to_dict(tr.model_from_dict(spec))).encode())
         out[f"{key}/c_of_t"] = _array_digest(tc.point.c_of_t)
         out[f"{key}/cdf"] = _array_digest(tc.cdf(grid))
         out[f"{key}/bisect-cdf"] = _array_digest(tr.truncate_general(m, t, method="bisect").cdf(grid[:16]))
