@@ -34,7 +34,15 @@ from trunca import (
     truncate_general,
     truncated_cdf,
 )
-from trunca.copulas import BISECT_WIDTH, CopulaModel, _columnwise, _inside, _itp_section_inv
+from trunca import copulas
+from trunca.copulas import (
+    BISECT_WIDTH,
+    SECTION_NODES,
+    CopulaModel,
+    _columnwise,
+    _inside,
+    _itp_section_inv,
+)
 
 
 def model_zoo():
@@ -800,24 +808,76 @@ def test_numeric_section_inverse_brackets(name, data):
     assert np.all(m.margin_section(j, np.minimum(x + BISECT_WIDTH * t[j], t[j]), t) >= y)
 
 
+@pytest.mark.parametrize("name", sorted(ZOO))
+@settings(max_examples=4)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_numeric_section_inverse_brackets_node_table(name, data, seed):
+    # 512 values or more use the full node table: its ends, its node values
+    # and values between them all keep the bracket
+    m = ZOO[name][0]
+    j = data.draw(st.integers(0, m.d - 1), label="j")
+    t = data.draw(_unit_vectors(m.d, 0.05), label="t")
+    top = m.margin_section(j, t[j], t)
+    nodes = m.margin_section(j, np.linspace(0.0, t[j], SECTION_NODES + 1), t)
+    y = np.concatenate([[0.0, top], nodes, top * np.random.default_rng(seed).random(300)])
+    x = _itp_section_inv(m, j, y, t, top)
+    assert y.size >= 512
+    assert np.all((x == 0.0) | (m.margin_section(j, x, t) < y))
+    assert np.all(m.margin_section(j, np.minimum(x + BISECT_WIDTH * t[j], t[j]), t) >= y)
+
+
+class _DippedSection(CopulaModel):
+    """Not a copula: min(u1, u2) less 0.05 where u1 is in [0.3, 0.35)."""
+
+    d = 2
+
+    def _cdf(self, pts):
+        return np.minimum(pts[:, 0], pts[:, 1]) - 0.05 * ((0.3 <= pts[:, 0]) & (pts[:, 0] < 0.35))
+
+
+def test_numeric_section_inverse_on_a_non_monotone_section():
+    # the section reaches y in (0.25, 0.29) at x = y and again inside the dip;
+    # the node table's running maximum starts from the first of these cells
+    m, t = _DippedSection(), np.array([1.0, 1.0])
+    y = np.linspace(0.0, 1.0, 1001)
+    x = _itp_section_inv(m, 0, y, t, 1.0)
+    assert np.all((x == 0.0) | (m.margin_section(0, x, t) < y))
+    assert np.all(m.margin_section(0, np.minimum(x + BISECT_WIDTH, 1.0), t) >= y)
+    first = (y < 0.29) | (y >= 0.35)
+    assert np.all(np.abs(x - y)[first] <= BISECT_WIDTH)
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_empty_input_gives_empty_output(name):
+    m, t = ZOO[name]
+    for method in ("auto", "bisect"):
+        assert truncate_general(m, t, method=method).cdf(np.empty((0, m.d))).shape == (0,)
+    for j in range(m.d):
+        assert m.margin_section_inv(j, [], t).shape == (0,)
+
+
 def test_numeric_inverse_evaluation_count(monkeypatch):
-    calls = []
-    section = CopulaModel.margin_section
+    rows = {0: 0, 1: 0}
+    steps = []
+    section = copulas._section
 
-    def counted(self, j, x, t):
-        calls.append(j)
-        return section(self, j, x, t)
+    def counted(model, block, j, x):
+        rows[j] += x.size
+        steps.append(j)
+        return section(model, block, j, x)
 
-    monkeypatch.setattr(CopulaModel, "margin_section", counted)
+    monkeypatch.setattr(copulas, "_section", counted)
     sg, t = ZOO["survival_gumbel"]
-    truncate_general(sg, t).cdf(np.random.default_rng(5).random((2000, 2)))
-    # halving to BISECT_WIDTH * t_j takes 44 evaluations per coordinate
-    assert calls.count(0) <= 16 and calls.count(1) <= 16
+    n = 2000
+    truncate_general(sg, t).cdf(np.random.default_rng(5).random((n, 2)))
+    # halving [0, t_j] to BISECT_WIDTH * t_j takes 44 evaluations per value;
+    # the node table and the open rows take 4.1 and 4.8 rows per value here
+    assert n <= rows[0] <= 5.5 * n and n <= rows[1] <= 5.5 * n
     # a section flat beyond 0.4 defeats interpolation: the bisection bound holds
-    calls.clear()
+    steps.clear()
     t = np.array([0.4, 0.9])
     _itp_section_inv(ComonotoneCopula(2), 1, np.array([0.0, 0.2, 0.4]), t, 0.4)
-    assert len(calls) <= np.ceil(np.log2(1.0 / BISECT_WIDTH)) + 3
+    assert len(steps) <= np.ceil(np.log2(1.0 / BISECT_WIDTH)) + 3
 
 
 def test_numeric_inverse_width_is_relative():

@@ -11,7 +11,8 @@ found on the import path:
 * a fixed model zoo (every family, outer power, nests, Marshall-Olkin,
   survival and both fixed points): the bytes of each model's
   ``model_to_dict`` spec and of that spec loaded and written again,
-  truncated CDFs on a fixed grid, by the model's own form and by bisection,
+  truncated CDFs on a fixed grid, by the model's own form and by bisection
+  (also on a 640-point grid, wide enough for the bisection's node table),
   ``sample_truncated`` rows with their meta, the raw ``oracle_sample`` rows
   with their meta, a composed truncation's CDF and rows, and section
   inverses;
@@ -155,7 +156,11 @@ def _models(tr):
         out[f"{key}/spec-roundtrip"] = _sha(json.dumps(tr.model_to_dict(tr.model_from_dict(spec))).encode())
         out[f"{key}/c_of_t"] = _array_digest(tc.point.c_of_t)
         out[f"{key}/cdf"] = _array_digest(tc.cdf(grid))
-        out[f"{key}/bisect-cdf"] = _array_digest(tr.truncate_general(m, t, method="bisect").cdf(grid[:16]))
+        bisect = tr.truncate_general(m, t, method="bisect")
+        out[f"{key}/bisect-cdf"] = _array_digest(bisect.cdf(grid[:16]))
+        # 640 points: enough for the full node table of the numeric section inverse
+        wide = np.random.default_rng([k, 3]).random((640, m.d))
+        out[f"{key}/bisect-cdf-wide"] = _array_digest(bisect.cdf(wide))
         sm = tr.sample_truncated(tc, 400, tr.rng_stream(k))
         out[f"{key}/sample"] = _array_digest(sm.data)
         out[f"{key}/sample-meta"] = _json_digest(sm.meta)
