@@ -27,6 +27,10 @@ Every Archimedean CDF is its generator's sum ``psi(sum_j psi_inv(u_j))``
 (``Generator._psi_sum``); a nest applies the root's sum to the sector values
 C_s(u_s), so an independence root multiplies them exactly.
 
+``cdf`` checks its points once; library code that holds points already in
+the unit cube evaluates a model by ``_at``, and generators by their ``_``
+kernels.
+
 A truncated copula is itself a ``CopulaModel``, and truncations compose:
 truncating C_t at s is truncating C at t*_j = sec_j_inv(C(t) s_j), so a
 truncation of a truncation comes back in the source's own closed form.
@@ -261,8 +265,8 @@ def _itp_section_inv(model, j, y, t, top):
 
 def _shift(g, y, shift):
     """psi(max(psi_inv(y) - shift, 0)): move y down the generator scale by shift."""
-    with np.errstate(invalid="ignore"):
-        return np.asarray(g.psi(np.maximum(np.asarray(g.psi_inv(y)) - shift, 0.0)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return g._psi(np.maximum(g._psi_inv(y) - shift, 0.0))
 
 
 class _FixedPoint(CopulaModel):
@@ -442,6 +446,7 @@ class NestedArchimedeanCopula(CopulaModel):
         for (g, ds), sl in zip(self.sectors, self.slices):
             vs = self.root._inner_frailty(g, v0, rng)
             e = rng.standard_exponential((v0.size, ds))
+            # the public psi, as in sample_archimedean: its scan rejects 0/0 rows
             out[:, sl] = np.asarray(g.psi(e / vs[:, None]))
             if np.any(t[sl] < 1.0):
                 ok = _inside(out[:, sl], t[sl])
@@ -534,7 +539,7 @@ class SurvivalCopula(CopulaModel):
         return self.inner.exchangeable
 
     def _cdf(self, pts):
-        v = np.atleast_1d(self.inner.cdf(1.0 - pts))
+        v = self.inner._at(1.0 - pts)
         return np.clip(_columnwise(np.add, pts) - 1.0 + v, 0.0, 1.0)
 
     def _tail_dep(self):
@@ -699,15 +704,15 @@ class NestedTruncation(TruncatedCopula):
         root = self.source.root
         g = self.source.sectors[s][0]
         w = _shift(root, self.point.c_of_t * block, self.a_s[s])
-        with np.errstate(invalid="ignore"):
-            arg = _columnwise(np.add, np.asarray(g.psi_inv(w))) - (block.shape[-1] - 1) * self.b_s[s]
-            return np.asarray(root.psi_inv(np.asarray(g.psi(np.maximum(arg, 0.0)))))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            arg = _columnwise(np.add, g._psi_inv(w)) - (block.shape[-1] - 1) * self.b_s[s]
+            return root._psi_inv(g._psi(np.maximum(arg, 0.0)))
 
     def _cdf(self, pts):
         total = np.zeros(pts.shape[0])
         for s, sl in enumerate(self.source.slices):
             total = total + self._sector_map(s, pts[:, sl])
-        return np.asarray(self.source.root.psi(np.maximum(total, 0.0))) / self.point.c_of_t
+        return self.source.root._psi(np.maximum(total, 0.0)) / self.point.c_of_t
 
     def biv_margin(self, s1, j1, s2, j2, u1, u2):
         """Bivariate margin of coordinates (s1, j1) and (s2, j2).
@@ -715,6 +720,8 @@ class NestedTruncation(TruncatedCopula):
         Cross-sector pairs are tilted-Archimedean in the root generator with
         tilt h0; same-sector pairs keep a residual nested form with shift
         a_s and are in general *not* the truncation of the pair's own margin.
+        ``u1`` and ``u2`` broadcast together and must lie in [0, 1], as the
+        points of ``cdf`` do; scalars give a float.
         """
         m = self.source
         for s, j in ((s1, j1), (s2, j2)):
@@ -722,13 +729,14 @@ class NestedTruncation(TruncatedCopula):
                 raise IndexError(f"invalid sector/coordinate index ({s}, {j})")
         if (s1, j1) == (s2, j2):
             raise ValueError("margin requires two distinct coordinates")
-        u1 = np.asarray(u1, dtype=float)
-        u2 = np.asarray(u2, dtype=float)
-        pair = np.stack(np.broadcast_arrays(u1, u2), axis=-1)
+        u1, u2 = np.broadcast_arrays(np.asarray(u1, dtype=float), np.asarray(u2, dtype=float))
+        pair = _unit_points(np.column_stack([u1.ravel(), u2.ravel()]), 2)[0]
         if s1 != s2:
-            return self._tilted_root._psi_sum(pair)
-        a = self.a_s[s1]
-        return np.asarray(m.root.psi(a + self._sector_map(s1, pair))) / self.point.c_of_t
+            out = self._tilted_root._psi_sum(pair)
+        else:
+            out = m.root._psi(self.a_s[s1] + self._sector_map(s1, pair)) / self.point.c_of_t
+        out = out.reshape(u1.shape)
+        return float(out) if out.ndim == 0 else out
 
 
 class MOTruncation(TruncatedCopula):
@@ -797,7 +805,7 @@ class GeneralTruncation(TruncatedCopula):
         x = np.empty_like(pts)
         for j in range(self.d):
             x[:, j] = _itp_section_inv(self.source, j, c * pts[:, j], t, c)
-        return np.atleast_1d(self.source.cdf(x)) / c
+        return self.source._at(x) / c
 
 
 def truncate_general(model, t, method="auto"):
@@ -822,7 +830,7 @@ def truncated_cdf(model, t, x):
     """
     tp = TruncationPoint.make(model, t)
     pts, squeeze = _unit_points(x, model.d)
-    out = np.atleast_1d(model.cdf(np.minimum(pts, tp.t))) / tp.c_of_t
+    out = model._at(np.minimum(pts, tp.t)) / tp.c_of_t
     return float(out[0]) if squeeze else out
 
 

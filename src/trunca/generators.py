@@ -15,6 +15,9 @@ float, the base form takes AMH's, Frank's and Joe's exponential tail
 take ``exp(log h + L)`` where a tiny tilt overflows ``expm1``.  A generator
 evaluates the Archimedean sum ``psi(sum_j psi_inv(x_j))`` (``_psi_sum``) of
 its copulas, flat or nested; independence's is the exact product.
+The public methods (``psi``, ``psi_inv``, ``psi_deriv`` and the logs) check
+their arguments; library code that already holds its values in range calls
+the ``_`` kernels, as ``_psi_sum`` and the tilted and outer-power kernels do.
 As the root of a nested model a family also says which sector generators
 nest under it (``_nests``) and how to draw a sector's frailty given the
 root's (``_inner_frailty``); roots without an inner law raise
@@ -59,6 +62,7 @@ __all__ = [
 
 _LOG2 = 0.6931471805599453
 _TINY = np.finfo(float).tiny  # the smallest normal float64
+_LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 class SamplingError(RuntimeError):
@@ -123,7 +127,9 @@ class Generator:
     """Base class: evaluation, inversion, two derivatives, tilt, outer power.
 
     ``psi_deriv(t, 1)`` is ``-exp(_log_neg_dpsi(t))``: a family writes psi'
-    once, in log form.  ``_psi`` defaults to ``exp(_log_psi)``.
+    once, in log form.  ``_psi`` defaults to ``exp(_log_psi)``.  Public
+    methods validate and set ``np.errstate``; the ``_`` kernels take arrays
+    already in range and do neither, so a caller of a kernel sets both.
     """
 
     family: str = ""
@@ -179,7 +185,9 @@ class Generator:
 
     def _psi_sum(self, block):
         """psi(sum_j psi_inv(x_j)) over the last axis of ``block``: the Archimedean sum."""
-        return self.psi(_columnwise(np.add, np.asarray(self.psi_inv(block))))
+        with np.errstate(divide="ignore", over="ignore"):
+            inv = self._psi_inv(block)
+        return self._psi(_columnwise(np.add, inv))
 
     def tilt(self, h):
         """The generator psi(. + h)/psi(h)."""
@@ -435,7 +443,9 @@ class GumbelGenerator(Generator):
 
     def _tilted_inv(self, h, u):
         # (h^(1/theta) - log u)^theta - h = h expm1(theta log1p(-log(u) h^(-1/theta)))
-        if h == 0.0:
+        if h == 0.0 or np.log(h) < -_LOG_MAX * self.theta:
+            # h^(-1/theta) overflows (a subnormal tilt, theta near 1): h^(1/theta) < 1e-308
+            # then moves (h^(1/theta) - log u)^theta - h by under an ulp, as -log u >= 1.1e-16
             return self._psi_inv(u)
         x = -np.log(u)
         return _h_expm1(h, self.theta * np.log1p(x * h ** (-1.0 / self.theta)))
@@ -539,16 +549,16 @@ class TiltedGenerator(Generator):
         return self.base.theta
 
     def _log_psi(self, t):
-        return self.base.log_psi(t + self.h) - self._log_psi_h
+        return self.base._log_psi(t + self.h) - self._log_psi_h
 
     def _psi_inv(self, u):
         return np.maximum(self.base._tilted_inv(self.h, u), 0.0)
 
     def _d2psi(self, t):
-        return self.base.psi_deriv(t + self.h, 2) / self.psi_h
+        return self.base._d2psi(t + self.h) / self.psi_h
 
     def _log_neg_dpsi(self, t):
-        return self.base.log_neg_psi_deriv(t + self.h) - self._log_psi_h
+        return self.base._log_neg_dpsi(t + self.h) - self._log_psi_h
 
     def _frailty(self, h, rng, n):
         return self.base._frailty(self.h + h, rng, n)
@@ -591,28 +601,28 @@ class OuterPowerGenerator(Generator):
 
     def _psi(self, t):
         # the base's own psi: Frank's and Joe's are more exact than exp(log_psi)
-        return self.base.psi(np.power(t, self.alpha))
+        return self.base._psi(np.power(t, self.alpha))
 
     def _log_psi(self, t):
-        return self.base.log_psi(np.power(t, self.alpha))
+        return self.base._log_psi(np.power(t, self.alpha))
 
     def _psi_inv(self, u):
-        return np.power(self.base.psi_inv(u), 1.0 / self.alpha)
+        return np.power(self.base._psi_inv(u), 1.0 / self.alpha)
 
     def _d2psi(self, t):
         a = self.alpha
         s = np.power(t, a)
-        first = self.base.psi_deriv(s, 2) * a * a * np.power(t, 2.0 * a - 2.0)
+        first = self.base._d2psi(s) * a * a * np.power(t, 2.0 * a - 2.0)
         if a == 1.0:
             # the second term is psi'(0) * 0 * inf at t = 0
             return first
-        return first + self.base.psi_deriv(s, 1) * a * (a - 1.0) * np.power(t, a - 2.0)
+        return first - np.exp(self.base._log_neg_dpsi(s)) * a * (a - 1.0) * np.power(t, a - 2.0)
 
     def _log_neg_dpsi(self, t):
         # psi'(t^alpha) alpha t^(alpha - 1); the power is 1 at alpha = 1, also at t = 0
         a = self.alpha
         log_power = (a - 1.0) * np.log(t) if a != 1.0 else 0.0
-        return self.base.log_neg_psi_deriv(np.power(t, a)) + np.log(a) + log_power
+        return self.base._log_neg_dpsi(np.power(t, a)) + np.log(a) + log_power
 
     def _tilted_inv(self, h, u):
         # (h^alpha + D)^(1/alpha) - h with D the base tilted inverse at h^alpha

@@ -84,6 +84,8 @@ def sample_archimedean(gen, d, n, rng):
     n = _rows_wanted(n)
     v = sample_frailty(gen, 0.0, rng, size=n)
     e = rng.standard_exponential((n, int(d)))
+    # the public psi, not _psi: its one scan per call is what turns a 0/0 row
+    # (a frailty that under- or overflowed) into an error, not a NaN row
     return np.asarray(gen.psi(e / v[:, None]))
 
 

@@ -34,11 +34,12 @@ from trunca import (
     truncate_general,
     truncated_cdf,
 )
-from trunca import copulas
+from trunca import copulas, generators
 from trunca.copulas import (
     BISECT_WIDTH,
     SECTION_NODES,
     CopulaModel,
+    SurvivalCopula,
     _columnwise,
     _inside,
     _itp_section_inv,
@@ -470,6 +471,30 @@ class TestNested:
         with pytest.raises(ValueError):
             tc.biv_margin(1, 0, 1, 0, 0.5, 0.5)
 
+    def test_margin_of_scalars_is_a_float(self):
+        m, t = self.make()
+        tc = truncate_general(m, t)
+        for s1, j1, s2, j2 in ((0, 0, 1, 0), (1, 0, 1, 1)):
+            got = tc.biv_margin(s1, j1, s2, j2, 0.3, 0.5)
+            assert type(got) is float
+            assert got == tc.biv_margin(s1, j1, s2, j2, [0.3], [0.5])[0]
+            # u1 and u2 broadcast together
+            grid = tc.biv_margin(s1, j1, s2, j2, np.full((3, 4), 0.3), 0.5)
+            assert grid.shape == (3, 4) and np.all(grid == got)
+
+    def test_margin_checks_its_points(self):
+        m, t = self.make()
+        tc = truncate_general(m, t)
+        for s1, j1, s2, j2 in ((0, 0, 1, 0), (1, 0, 1, 1)):
+            for bad in (np.nan, 1.5, -0.1, 1.0 + 1e-9):
+                with pytest.raises(ValueError, match="unit cube"):
+                    tc.biv_margin(s1, j1, s2, j2, bad, 0.5)
+                with pytest.raises(ValueError, match="unit cube"):
+                    tc.biv_margin(s1, j1, s2, j2, [0.2, 0.4], [0.5, bad])
+            # within the edge tolerance a point is clipped into the cube, as cdf does
+            edge = tc.biv_margin(s1, j1, s2, j2, [1.0 + 1e-13, -1e-13], [0.5, 0.5])
+            assert np.array_equal(edge, tc.biv_margin(s1, j1, s2, j2, [1.0, 0.0], [0.5, 0.5]))
+
     def test_outer_power_stack_matches_explicit_form(self):
         base = generator("clayton", 1.2)
         a0, a1, a2 = 0.9, 0.5, 0.7
@@ -598,6 +623,20 @@ class TestSurvival:
         stat = empirical_copula_distance(sm.data, sm.data[:, ::-1])
         print(f"\n[observation] survival-Gumbel t=(0.3,0.7) rank-symmetry sup stat: {stat:.5f}")
         assert np.isfinite(stat)
+
+
+@pytest.mark.parametrize("name", ["independence", "comonotone", "clayton", "amh", "frank",
+                                  "gumbel", "joe", "opclayton", "mo", "mo-truncated"])
+@given(u=hnp.arrays(np.float64, st.tuples(st.integers(1, 30), st.just(2)),
+                    elements=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))))
+def test_survival_cdf_is_the_public_formula(name, u):
+    # the survival CDF evaluates its inner model by _at, and nothing else changes
+    if name == "mo-truncated":
+        inner = truncate_general(*ZOO["mo"])
+    else:
+        inner = ZOO[name][0]
+    want = np.clip(u[:, 0] + u[:, 1] - 1.0 + inner.cdf(1.0 - u), 0.0, 1.0)
+    assert SurvivalCopula(inner)._cdf(u).tobytes() == want.tobytes()
 
 
 class TestEvScaling:
@@ -878,6 +917,32 @@ def test_numeric_inverse_evaluation_count(monkeypatch):
     t = np.array([0.4, 0.9])
     _itp_section_inv(ComonotoneCopula(2), 1, np.array([0.0, 0.2, 0.4]), t, 0.4)
     assert len(steps) <= np.ceil(np.log2(1.0 / BISECT_WIDTH)) + 3
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_cdf_checks_its_points_once(name, monkeypatch):
+    # public methods validate; library code calls the kernels on the points it holds
+    m, t = ZOO[name]
+    models = [m, truncate_general(m, t), truncate_general(m, t, method="bisect")]
+    pts = np.random.default_rng(6).random((300, m.d))
+    calls = dict.fromkeys(["_unit_points", "_validated_u", "_validated_t"], 0)
+
+    def spy(module, fname):
+        real = getattr(module, fname)
+
+        def counted(*args):
+            calls[fname] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, fname, counted)
+
+    spy(copulas, "_unit_points")
+    spy(generators, "_validated_u")
+    spy(generators, "_validated_t")
+    for model in models:
+        calls.update(dict.fromkeys(calls, 0))
+        model.cdf(pts)
+        assert calls == {"_unit_points": 1, "_validated_u": 0, "_validated_t": 0}, repr(model)
 
 
 def test_numeric_inverse_width_is_relative():

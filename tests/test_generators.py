@@ -2,6 +2,9 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from trunca import (
@@ -14,6 +17,7 @@ from trunca import (
     log1mexp,
     truncate_general,
 )
+from trunca.generators import _columnwise
 
 FAMILIES = {
     "independence": (None,),
@@ -127,6 +131,28 @@ def test_log_forms_consistent():
             assert_allclose(np.asarray(g.log_neg_psi_deriv(ts)), ref, rtol=0, atol=1e-5, err_msg=repr(g))
 
 
+# blocks of 1-12 points of 2-5 coordinates in [0, 1], with exact 0s and 1s among them
+_UNIT_BLOCKS = st.tuples(st.integers(1, 12), st.integers(2, 5)).flatmap(
+    lambda shape: hnp.arrays(np.float64, shape, elements=st.one_of(
+        st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))))
+
+
+@pytest.mark.parametrize("fam", sorted(FAMILIES))
+@given(block=_UNIT_BLOCKS)
+@example(block=np.array([[0.0, 0.5], [1.0, 1.0], [1.0, 0.0], [0.3, 1.0]]))
+def test_psi_sum_is_the_public_sum(fam, block):
+    # the kernel sum skips the checks of psi and psi_inv, and nothing else
+    for theta in FAMILIES[fam]:
+        for alpha in (None, 0.6, 0.05):
+            base = generator(fam, theta, alpha)
+            for g in (base, *(base.tilt(h) for h in (0.0, 0.3, 600.0, 5e-320))):
+                if g.family == "independence":
+                    continue  # its own sum is the exact product
+                want = g.psi(_columnwise(np.add, g.psi_inv(block)))
+                got = g._psi_sum(block)
+                assert got.tobytes() == np.asarray(want).tobytes(), repr(g)
+
+
 def test_log1mexp_regimes():
     xs = np.array([-1e-12, -0.1, -1.0, -40.0, -800.0])
     ref = [np.log1p(-float(np.exp(x))) if x < -1 else float(np.log(-np.expm1(x))) for x in xs]
@@ -221,6 +247,18 @@ class TestTilt:
         assert np.isfinite(tc.tilted.psi_inv(0.5))
         u = np.random.default_rng(16).random((1000, 2))
         assert_allclose(tc.cdf(u), m.cdf(u), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("theta", [1.0, 1.02])
+    def test_gumbel_subnormal_tilt_near_theta_one(self, theta):
+        # h^(-1/theta) overflows float64 at this tilt: the tilt is below an ulp of every value
+        g = generator("gumbel", theta).tilt(5e-320)
+        u = np.array([0.0, 1e-300, 1e-5, 0.5, 1.0 - 2.0**-53, 1.0])
+        with localcontext() as ctx:
+            ctx.prec = 700
+            h, th = Decimal(5e-320), Decimal(theta)
+            want = [float((h ** (1 / th) - Decimal(v).ln()) ** th - h) if v > 0 else np.inf
+                    for v in u]
+        assert_allclose(g.psi_inv(u), want, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("fam,theta", [("frank", 4.0), ("frank", 40.0), ("joe", 5.0),
                                            ("amh", 0.7)])

@@ -14,8 +14,9 @@ found on the import path:
   truncated CDFs on a fixed grid, by the model's own form and by bisection
   (also on a 640-point grid, wide enough for the bisection's node table),
   ``sample_truncated`` rows with their meta, the raw ``oracle_sample`` rows
-  with their meta, a composed truncation's CDF and rows, and section
-  inverses;
+  with their meta, a composed truncation's CDF and rows, section inverses,
+  and for nested truncations with a dependent root the bivariate margins
+  of a cross-sector and a same-sector pair;
 * float64 edges: every family's tilted inverse at tilts 600 and 5e-320 with
   u down to 1e-300, and truncations whose tilt is huge (Frank at t = 1e-30)
   or subnormal (Gumbel(20) and an outer power with alpha 0.05 at t near 1);
@@ -171,6 +172,13 @@ def _models(tr):
         out[f"{key}/composed-cdf"] = _array_digest(composed.cdf(grid))
         out[f"{key}/composed-sample"] = _array_digest(
             tr.sample_truncated(composed, 200, tr.rng_stream(k, 1)).data)
+        if tc.form == "nested":
+            # a cross-sector pair (first and last sector) and a pair inside the first wide sector
+            last = len(m.sectors) - 1
+            pair = next(i for i, (_, ds) in enumerate(m.sectors) if ds >= 2)
+            u1, u2 = grid[:, 0], grid[:, 1]
+            out[f"{key}/biv-margin-cross"] = _array_digest(tc.biv_margin(0, 0, last, 0, u1, u2))
+            out[f"{key}/biv-margin-same"] = _array_digest(tc.biv_margin(pair, 0, pair, 1, u1, u2))
         y = tc.point.c_of_t * np.linspace(0.0, 1.0, 9)
         for j in range(m.d):
             out[f"{key}/section-inv{j}"] = _array_digest(m.margin_section_inv(j, y, tc.point.t))
