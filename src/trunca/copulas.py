@@ -10,18 +10,18 @@ and is exact whenever the sections invert analytically.  Each model class
 chooses its own truncated form in ``_truncate`` and its own section inverse
 (``_section_inv_analytic``, if it has one): Archimedean models stay
 Archimedean with a tilted generator (tilt psi_inv(C(t))), so their truncation
-is again an ``ArchimedeanCopula``; nested Archimedean models keep a nested
-closed form (with an independence root, the product of the tilted sectors),
-bivariate Marshall-Olkin models keep a piecewise closed form with an explicit
-singular curve, and independence and comonotonicity are fixed points,
-sharing one base.  Everything else (survival wrappers in particular) is the
-construction itself, ``GeneralTruncation``, which always inverts the
-sections numerically and is the reference every closed form is checked
-against: one table of section values at up to 256 nodes brackets every value,
-and ITP narrows each bracket to a width relative to t_j, about 4-6 section
-evaluations per value on smooth sections and never more than two steps beyond
-bisecting its cell.  Each truncated form in turn names its sampling
-``route`` (see ``sampling.sample_truncated``).
+is again an ``ArchimedeanCopula``; nested models stay nested, the root tilted
+by psi0_inv(C(t)) over truncated sector generators (an independence root keeps
+the product of the tilted sectors), bivariate Marshall-Olkin models keep a
+piecewise closed form with an explicit singular curve, and independence and
+comonotonicity are fixed points, sharing one base.  Everything else (survival
+wrappers in particular) is the construction itself, ``GeneralTruncation``,
+which always inverts the sections numerically and is the reference every
+closed form is checked against: one table of section values at up to 256 nodes
+brackets every value, and ITP narrows each bracket to a width relative to t_j,
+about 4-6 section evaluations per value on smooth sections and never more than
+two steps beyond bisecting its cell.  Each truncated form in turn names its
+sampling ``route`` (see ``sampling.sample_truncated``).
 
 Every Archimedean CDF is its generator's sum ``psi(sum_j psi_inv(u_j))``
 (``Generator._psi_sum``); a nest applies the root's sum to the sector values
@@ -50,7 +50,8 @@ from itertools import product
 import numpy as np
 
 from .frailty import sample_frailty
-from .generators import Generator, IndependenceGenerator, SamplingError, _columnwise
+from .generators import (Generator, IndependenceGenerator, SamplingError, TruncatedSectorGenerator,
+                         _columnwise)
 
 __all__ = [
     "SamplingError",
@@ -165,7 +166,7 @@ class CopulaModel:
         The class's analytic inverse where it has one; otherwise the left end
         of an ITP bracket no wider than ``BISECT_WIDTH * t_j``.
         """
-        t = np.asarray(t, dtype=float)
+        t = _unit_points(t, self.d)[0][0]
         y = np.asarray(y, dtype=float)
         y_arr = np.atleast_1d(y)
         top = float(self.margin_section(j, t[j], t))
@@ -365,12 +366,12 @@ class NestedArchimedeanCopula(CopulaModel):
     ``sectors`` is a sequence of (generator, dimension) pairs.  The root
     enforces the sufficient nesting condition at construction
     (``root._nests``): the same family with theta_root <= theta_sector,
-    outer powers of one base with alpha_root >= alpha_sector, or any sector
-    under an independence root, which makes the model a product of
-    Archimedean blocks.  Sampling draws the root frailty V0 and, per sector,
-    the root's inner law given V0 (``root._inner_frailty``).  Independence
-    roots and Clayton or Gumbel stacks have one; other roots raise
-    ``SamplingError``.
+    outer powers of one base with alpha_root >= alpha_sector, any sector
+    under an independence root (a product of Archimedean blocks), or the
+    truncated sectors of a tilted root's base, which make a truncated nest.
+    Sampling draws the root frailty V0 and, per sector, the root's inner law
+    given V0 (``root._inner_frailty``): independence roots and Clayton or
+    Gumbel stacks have one; other roots raise ``SamplingError``.
     """
 
     kind = "nested_archimedean"
@@ -425,15 +426,16 @@ class NestedArchimedeanCopula(CopulaModel):
         return _shift(g, _shift(root, y, outer_rest), inner_rest)
 
     def _truncate(self, tp):
-        if not isinstance(self.root, IndependenceGenerator):
-            return NestedTruncation(self, tp)
-        # an independence root makes the truncation the product of the
-        # truncated sectors: the same nest with each sector tilted by psi_s_inv(C_s(t_s))
-        sectors = [
-            (g if ds == 1 else g.tilt(g.psi_inv(c)), ds)
-            for (g, ds), c in zip(self.sectors, self._sector_tops(tp.t))
-        ]
-        return ProductTruncation(self, tp, NestedArchimedeanCopula(self.root, sectors))
+        pairs = list(zip(self.sectors, self._sector_tops(tp.t)))
+        if isinstance(self.root, IndependenceGenerator):
+            # an independence root makes the truncation the product of the
+            # truncated sectors: the same nest with each sector tilted by psi_s_inv(C_s(t_s))
+            sectors = [(g if ds == 1 else g.tilt(g.psi_inv(c)), ds) for (g, ds), c in pairs]
+            return ProductTruncation(self, tp, NestedArchimedeanCopula(self.root, sectors))
+        c = tp.c_of_t
+        sectors = [(TruncatedSectorGenerator(self.root, g, c, cs), ds) for (g, ds), cs in pairs]
+        tilted = self.root.tilt(self.root.psi_inv(c))
+        return NestedTruncation(self, tp, NestedArchimedeanCopula(tilted, sectors))
 
     def _sample(self, n, rng):
         return self._propose(n, np.ones(self.d), rng)
@@ -669,59 +671,24 @@ class ProductTruncation(ModelTruncation):
     route = "product"
 
 
-class NestedTruncation(TruncatedCopula):
-    """Closed form of a truncated nested Archimedean copula.
+class NestedTruncation(ModelTruncation):
+    """Truncation of a nest with a dependent root: a nest again, sampled by the oracle.
 
-    All constants are precomputed: h0 = psi0_inv(C(t)) and, per sector with
-    c_s = C_s(t_s), the inner offset b_s = psi_s_inv(c_s) and the sector
-    shift a_s = h0 - psi0_inv(c_s) (the root-scale coordinate of the sector's
-    complementary threshold mass).
+    ``model`` is the root tilted by psi0_inv(C(t)) over one ``TruncatedSectorGenerator``
+    per sector; the tilted root has no inner frailty law for them.
     """
 
     form = "nested"
-
-    def __init__(self, source, point):
-        super().__init__(source, point)
-        m = source
-        root = m.root
-        c = point.c_of_t
-        self.h0 = float(root.psi_inv(c))
-        self.a_s = []
-        self.b_s = []
-        for cs, (g, _) in zip(m._sector_tops(point.t), m.sectors):
-            self.a_s.append(self.h0 - float(root.psi_inv(cs)))
-            self.b_s.append(float(g.psi_inv(cs)))
-        self._tilted_root = root.tilt(self.h0)
-
-    def _sector_map(self, s, block):
-        """Root-scale coordinate psi0_inv(.) of sector s at the points ``block``.
-
-        ``block`` holds copula-scale values of k coordinates of the sector in
-        its last axis; the sector's truncated value is
-        psi_s(max(sum_j psi_s_inv(w_j) - (k-1) b_s, 0)) with w_j the
-        root-shifted c u_j.
-        """
-        root = self.source.root
-        g = self.source.sectors[s][0]
-        w = _shift(root, self.point.c_of_t * block, self.a_s[s])
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            arg = _columnwise(np.add, g._psi_inv(w)) - (block.shape[-1] - 1) * self.b_s[s]
-            return root._psi_inv(g._psi(np.maximum(arg, 0.0)))
-
-    def _cdf(self, pts):
-        total = np.zeros(pts.shape[0])
-        for s, sl in enumerate(self.source.slices):
-            total = total + self._sector_map(s, pts[:, sl])
-        return self.source.root._psi(np.maximum(total, 0.0)) / self.point.c_of_t
+    route = "oracle"
 
     def biv_margin(self, s1, j1, s2, j2, u1, u2):
-        """Bivariate margin of coordinates (s1, j1) and (s2, j2).
+        """Bivariate margin of coordinates (s1, j1) and (s2, j2): the CDF at 1 elsewhere.
 
-        Cross-sector pairs are tilted-Archimedean in the root generator with
-        tilt h0; same-sector pairs keep a residual nested form with shift
-        a_s and are in general *not* the truncation of the pair's own margin.
-        ``u1`` and ``u2`` broadcast together and must lie in [0, 1], as the
-        points of ``cdf`` do; scalars give a float.
+        Cross-sector pairs are Archimedean in the tilted root
+        (``model.root``); same-sector pairs are Archimedean in their truncated
+        sector generator, and in general *not* the truncation of the pair's
+        own margin.  ``u1`` and ``u2`` broadcast together and must lie in
+        [0, 1], as the points of ``cdf`` do; scalars give a float.
         """
         m = self.source
         for s, j in ((s1, j1), (s2, j2)):
@@ -731,11 +698,9 @@ class NestedTruncation(TruncatedCopula):
             raise ValueError("margin requires two distinct coordinates")
         u1, u2 = np.broadcast_arrays(np.asarray(u1, dtype=float), np.asarray(u2, dtype=float))
         pair = _unit_points(np.column_stack([u1.ravel(), u2.ravel()]), 2)[0]
-        if s1 != s2:
-            out = self._tilted_root._psi_sum(pair)
-        else:
-            out = m.root._psi(self.a_s[s1] + self._sector_map(s1, pair)) / self.point.c_of_t
-        out = out.reshape(u1.shape)
+        pts = np.ones((pair.shape[0], self.d))
+        pts[:, [m.slices[s1].start + j1, m.slices[s2].start + j2]] = pair
+        out = self._at(pts).reshape(u1.shape)
         return float(out) if out.ndim == 0 else out
 
 

@@ -563,6 +563,13 @@ class TiltedGenerator(Generator):
     def _frailty(self, h, rng, n):
         return self.base._frailty(self.h + h, rng, n)
 
+    def _nests(self, g):
+        # the root of a truncated nest takes the truncated sectors of its base root;
+        # tilt(0.0) finds that base also where the sectors' root is tilted itself
+        if type(g) is TruncatedSectorGenerator:
+            return g.root.tilt(0.0).base is self.base
+        return super()._nests(g)
+
     def _tail_pair(self, alpha=1.0):
         # any positive tilt kills the upper tail; the lower one survives
         lam_l, lam_u = self.base._tail_pair(alpha)
@@ -661,6 +668,33 @@ class OuterPowerGenerator(Generator):
 
     def __repr__(self):
         return f"OuterPowerGenerator({self.base!r}, alpha={self.alpha!r})"
+
+
+class TruncatedSectorGenerator(Generator):
+    """phi(z) = psi0(psi0_inv(psi_s(b + z)) + a) / c: sector psi_s of a truncated nest.
+
+    With root psi0 at t, c = C(t), cs = C_s(t_s), b = psi_s_inv(cs) and
+    a = psi0_inv(c) - psi0_inv(cs); the nest's root is psi0 tilted by psi0_inv(c).
+    """
+
+    def __init__(self, root, sector, c, cs):
+        self.root, self.sector, self.c = root, sector, float(c)
+        # 0 < c <= cs <= 1: a nest's threshold values, already in range for the kernels
+        self.b = float(sector._psi_inv(cs))
+        self.a = float(root._psi_inv(c)) - float(root._psi_inv(cs))
+
+    def _psi(self, z):
+        r = self.root
+        # psi_s underflows to 0 for large z, where psi0_inv is +inf: psi is 0 there
+        with np.errstate(divide="ignore", over="ignore"):
+            return r._psi(r._psi_inv(self.sector._psi(self.b + z)) + self.a) / self.c
+
+    def _psi_inv(self, u):
+        w = self.root._psi(np.maximum(self.root._psi_inv(self.c * u) - self.a, 0.0))
+        return np.maximum(self.sector._psi_inv(w) - self.b, 0.0)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.root!r}, {self.sector!r}, a={self.a!r}, b={self.b!r})"
 
 
 _FAMILY_CLASSES = {

@@ -27,7 +27,7 @@ import json
 
 from .copulas import (ArchimedeanCopula, ComonotoneCopula, IndependenceCopula,
                       MarshallOlkinCopula, NestedArchimedeanCopula, SurvivalCopula)
-from .generators import OuterPowerGenerator, TiltedGenerator, generator
+from .generators import _FAMILY_CLASSES, OuterPowerGenerator, generator
 
 __all__ = ["SCHEMA", "model_to_dict", "model_from_dict", "load_model", "save_model",
            "generator_to_dict", "generator_from_dict"]
@@ -50,13 +50,13 @@ def _no_extra(spec, what):
 
 
 def generator_to_dict(g):
-    """JSON form, e.g. {"family": "clayton", "theta": 2.0} (+ "outer_alpha")."""
-    if isinstance(g, TiltedGenerator):
-        raise ValueError("tilted generators are derived objects without a JSON form")
+    """JSON form, e.g. {"family": "clayton", "theta": 2.0} (+ "outer_alpha"); derived ones raise."""
     if isinstance(g, OuterPowerGenerator):
         out = generator_to_dict(g.base)
         out["outer_alpha"] = g.alpha
         return out
+    if g.family not in _FAMILY_CLASSES:
+        raise ValueError(f"derived generator {g!r} has no JSON form")
     out = {"family": g.family}
     if g.theta is not None:
         out["theta"] = g.theta

@@ -261,7 +261,7 @@ def test_c07_nested_truncation():
     u1 = rng.random(400)
     u2 = rng.random(400)
     cross = tc.biv_margin(0, 0, 1, 1, u1, u2)
-    tilted = tc._tilted_root
+    tilted = tc.model.root
     direct = np.asarray(tilted.psi(np.asarray(tilted.psi_inv(u1)) + np.asarray(tilted.psi_inv(u2))))
     assert np.max(np.abs(cross - direct)) <= 1e-10
     pts = np.ones((400, 3))

@@ -1,3 +1,6 @@
+import warnings
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +19,7 @@ from trunca import (
     NestedArchimedeanCopula,
     NestedTruncation,
     ProductTruncation,
+    SamplingError,
     TiltedArchimedeanTruncation,
     TruncationPoint,
     box_mass,
@@ -184,6 +188,15 @@ class TestMarginSectionInv:
         with pytest.raises(ValueError):
             m.margin_section_inv(0, 0.9, t)
 
+    @pytest.mark.parametrize("name", sorted(ZOO))
+    def test_threshold_within_edge_tolerance_is_clipped(self, name):
+        # a threshold within _EDGE_TOL above 1 is 1, as it is for cdf
+        m = ZOO[name][0]
+        for j in range(m.d):
+            at_one = m.margin_section_inv(j, [0.05, 0.2, 0.5], np.ones(m.d))
+            above = m.margin_section_inv(j, [0.05, 0.2, 0.5], np.full(m.d, 1.0 + 1e-13))
+            assert np.array_equal(above, at_one)
+
 
 class TestTruncatedCdf:
     def test_at_threshold(self):
@@ -271,11 +284,13 @@ class TestTruncateDispatch:
 
     def test_sampling_dispatch_errors(self):
         # a truncated form that is no model has no sampler of its own
-        for name, form in [("nested_clayton", "NestedTruncation"), ("mo", "MOTruncation"),
-                           ("survival_gumbel", "GeneralTruncation")]:
+        for name, form in [("mo", "MOTruncation"), ("survival_gumbel", "GeneralTruncation")]:
             tc = truncate_general(*ZOO[name])
             with pytest.raises(TypeError, match=f"no sampler for model type {form}"):
                 sample_model(tc, 10, rng_stream(0))
+        # a truncated nest is a model, whose tilted root has no inner frailty law
+        with pytest.raises(SamplingError):
+            sample_model(truncate_general(*ZOO["nested_clayton"]), 10, rng_stream(0))
         with pytest.raises(TypeError, match="expects a TruncatedCopula"):
             sample_truncated(ZOO["clayton"][0], 10, rng_stream(0))
 
@@ -525,6 +540,96 @@ class TestNested:
         rng = np.random.default_rng(14)
         u = rng.random((200, 4))
         assert np.max(np.abs(tc.cdf(u) - explicit(u))) <= 1e-11
+
+
+# theta ranges of the nested property tests, each family's nesting rule holding
+# for theta_root <= theta_sector
+NEST_THETAS = {
+    "clayton": st.floats(0.2, 8.0),
+    "amh": st.floats(0.0, 0.9),
+    "frank": st.floats(0.2, 20.0),
+    "gumbel": st.floats(1.0, 5.0),
+    "joe": st.floats(1.0, 5.0),
+}
+
+
+@st.composite
+def _nested_models(draw):
+    """A two-level nest of d = 3-4.
+
+    A stack of one family, plain or outer-powered, or sectors of any family
+    under an independence root.
+    """
+    dims = draw(st.sampled_from([(1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (1, 1, 2), (2, 1, 1)]))
+    fam = draw(st.sampled_from(["independence", *sorted(NEST_THETAS)]))
+    if fam == "independence":
+        gens = [generator(f, draw(NEST_THETAS[f])) for f in
+                draw(st.lists(st.sampled_from(sorted(NEST_THETAS)), min_size=len(dims),
+                              max_size=len(dims)))]
+        return NestedArchimedeanCopula(generator("independence"), list(zip(gens, dims)))
+    theta = draw(NEST_THETAS[fam])
+    if draw(st.booleans()):
+        # outer powers of one base, alpha_root >= alpha_sector
+        base = generator(fam, theta)
+        alphas = draw(st.lists(st.floats(0.3, 1.0), min_size=len(dims) + 1,
+                               max_size=len(dims) + 1))
+        root = base.outer_power(max(alphas))
+        return NestedArchimedeanCopula(root, [(base.outer_power(a), ds)
+                                              for a, ds in zip(alphas[1:], dims)])
+    thetas = [max(theta, draw(NEST_THETAS[fam])) for _ in dims]  # theta_sector >= theta_root
+    return NestedArchimedeanCopula(generator(fam, theta),
+                                   [(generator(fam, th), ds) for th, ds in zip(thetas, dims)])
+
+
+@settings(max_examples=40)
+@given(m=_nested_models(), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_truncated_nest_is_a_nest(m, data, seed):
+    t = data.draw(_unit_vectors(m.d, 0.05), label="t")
+    tc = truncate_general(m, t)
+    assert isinstance(tc.model, NestedArchimedeanCopula)
+    independent = m.root.family == "independence"
+    assert type(tc) is (ProductTruncation if independent else NestedTruncation)
+    rng = np.random.default_rng(seed)
+    pts = rng.random((20, m.d))
+    bisected = truncate_general(m, t, method="bisect")
+    assert np.max(np.abs(tc.cdf(pts) - bisected.cdf(pts))) <= 1e-10
+    # truncating the truncation's model is truncating the truncation
+    s = data.draw(_unit_vectors(m.d, 0.3), label="s")
+    again = truncate_general(tc.model, s).cdf(pts)
+    assert np.max(np.abs(again - truncate_general(tc, s).cdf(pts))) <= 1e-12
+    if independent:
+        return
+    # a bivariate margin is Archimedean: in its truncated sector generator
+    # within a sector, in the tilted root across sectors
+    u1, u2 = rng.random(30), rng.random(30)
+    pair = np.column_stack([u1, u2])
+    for s1, (g, ds) in enumerate(tc.model.sectors):
+        if ds >= 2:
+            same = ArchimedeanCopula(g).cdf(pair)
+            assert np.max(np.abs(tc.biv_margin(s1, 0, s1, 1, u1, u2) - same)) <= 1e-12
+    if len(m.sectors) >= 2:
+        cross = ArchimedeanCopula(tc.model.root).cdf(pair)
+        assert np.max(np.abs(tc.biv_margin(0, 0, 1, 0, u1, u2) - cross)) <= 1e-12
+    # exact 0s and 1s pass through the kernels without a floating-point warning
+    edges = np.array(list(product([0.0, 1.0, 0.5], repeat=m.d)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = tc.cdf(edges)
+        tc.biv_margin(0, 0, len(m.sectors) - 1, m.sectors[-1][1] - 1, edges[:, 0], edges[:, 1])
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+    assert np.all(vals[np.any(edges == 0.0, axis=1)] == 0.0)
+
+
+def test_truncated_sectors_nest_only_under_their_own_root():
+    m, t = TestNested().make()
+    tc = truncate_general(m, t)
+    sectors = tc.model.sectors
+    other = generator("clayton", 2.0)  # equal to the source root, but another object
+    for root in (other.tilt(float(tc.model.root.h)), other, generator("gumbel", 2.0).tilt(1.0)):
+        with pytest.raises(ValueError, match="nest"):
+            NestedArchimedeanCopula(root, sectors)
+    # the model's own root, tilted once more, still takes them
+    NestedArchimedeanCopula(tc.model.root.tilt(0.5), sectors)
 
 
 class TestMarshallOlkin:

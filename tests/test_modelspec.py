@@ -9,6 +9,7 @@ from trunca import (
     NestedArchimedeanCopula,
     SurvivalCopula,
     generator,
+    generator_to_dict,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -122,6 +123,20 @@ def test_truncation_has_no_spec():
     tc = truncate_general(model_from_dict(SPECS[2]), [0.5, 0.5])
     with pytest.raises(TypeError):
         model_to_dict(tc)
+
+
+def test_derived_generators_have_no_spec():
+    # only the six families and their outer powers are written; a tilted
+    # generator or a truncated nest's sector generator is derived
+    nested = model_from_dict(SPECS[4])
+    tc = truncate_general(nested, [0.2, 0.5, 0.5])
+    derived = [generator("clayton", 2.0).tilt(0.5), generator("gumbel", 2.0, 0.5).tilt(1.0),
+               tc.model.root, *(g for g, _ in tc.model.sectors)]
+    for g in derived:
+        with pytest.raises(ValueError, match="derived .* no JSON form"):
+            generator_to_dict(g)
+    with pytest.raises(ValueError, match="derived .* no JSON form"):
+        model_to_dict(tc.model)
 
 
 # where a dimension sits: a fixed point's d, an Archimedean model's d, a sector's d
