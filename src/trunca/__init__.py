@@ -1,10 +1,11 @@
 """Right-truncated copulas.
 
 Conditioning a random vector with copula C on ``U <= t`` yields a new copula
-C_t.  This package computes C_t exactly for Archimedean, outer-power,
-nested-Archimedean, and bivariate Marshall-Olkin models (tilted-generator
-closed forms), samples it through frailty constructions or a generic
-rejection oracle, and exposes tail-dependence and Kendall-distribution
+C_t.  This package computes C_t exactly for Archimedean, outer-power and
+nested-Archimedean models (tilted-generator closed forms) and for bivariate
+Marshall-Olkin models (exact section inverses), and numerically for any other
+model; it samples C_t through frailty constructions or a generic rejection
+oracle, and exposes tail-dependence and Kendall-distribution
 analytics plus a CLI over JSON model specs.
 """
 

@@ -6,22 +6,24 @@ coordinate section,
 
     C_t(u) = C({sec_j_inv(C(t) u_j)}_j) / C(t),
 
-and is exact whenever the sections invert analytically.  Each model class
-chooses its own truncated form in ``_truncate`` and its own section inverse
+and is exact whenever the sections invert analytically.  The construction
+is written once, on ``TruncatedCopula``; each model class chooses its own
+truncated form in ``_truncate`` and its own section inverse
 (``_section_inv_analytic``, if it has one): Archimedean models stay
 Archimedean with a tilted generator (tilt psi_inv(C(t))), so their truncation
 is again an ``ArchimedeanCopula``; nested models stay nested, the root tilted
 by psi0_inv(C(t)) over truncated sector generators (an independence root keeps
-the product of the tilted sectors), bivariate Marshall-Olkin models keep a
-piecewise closed form with an explicit singular curve, and independence and
-comonotonicity are fixed points, sharing one base.  Everything else (survival
-wrappers in particular) is the construction itself, ``GeneralTruncation``,
-which always inverts the sections numerically and is the reference every
-closed form is checked against: one table of section values at up to 256 nodes
-brackets every value, and ITP narrows each bracket to a width relative to t_j,
-about 4-6 section evaluations per value on smooth sections and never more than
-two steps beyond bisecting its cell.  Each truncated form in turn names its
-sampling ``route`` (see ``sampling.sample_truncated``).
+the product of the tilted sectors), bivariate Marshall-Olkin models are the
+construction with their exact section inverses, plus the image of their
+singular curve, and independence and comonotonicity are fixed points, sharing
+one base.  ``GeneralTruncation`` is the construction with every section
+inverted numerically, the reference every closed form is checked against and
+the form of everything else (survival wrappers in particular): one table of
+section values at up to 256 nodes brackets every value, and ITP narrows each
+bracket to a width relative to t_j, about 4-6 section evaluations per value on
+smooth sections and never more than two steps beyond bisecting its cell.  Each
+truncated form in turn names its sampling ``route`` (see
+``sampling.sample_truncated``).
 
 Every Archimedean CDF is its generator's sum ``psi(sum_j psi_inv(u_j))``
 (``Generator._psi_sum``); a nest applies the root's sum to the sector values
@@ -32,8 +34,8 @@ the unit cube evaluates a model by ``_at``, and generators by their ``_``
 kernels.
 
 A truncated copula is itself a ``CopulaModel``, and truncations compose:
-truncating C_t at s is truncating C at t*_j = sec_j_inv(C(t) s_j), so a
-truncation of a truncation comes back in the source's own closed form.
+truncating C_t at s is truncating C at x(s), x_j(s) = sec_j_inv(C(t) s_j),
+so a truncation of a truncation comes back in the source's own closed form.
 Each model class also knows its analytic tail coefficients (``_tail_dep``)
 and whether it is ``exchangeable``, and draws its own rows in ``_sample``,
 so a closed truncation samples, and reports both, as the model it is.
@@ -44,7 +46,7 @@ their ``_sample`` is ``_propose`` at t = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -146,7 +148,9 @@ class CopulaModel:
         return float(out[0]) if squeeze else out
 
     def margin_section(self, j, x, t):
-        """The section x -> C(t_1, ..., x at slot j, ..., t_d)."""
+        """The section x -> C(t_1, ..., x at slot j, ..., t_d), for 0 <= j < d."""
+        if not 0 <= j < self.d:
+            raise IndexError(f"invalid coordinate index {j} for dimension {self.d}")
         t = _unit_points(t, self.d)[0][0]
         x = np.asarray(x, dtype=float)
         xs = _unit_points(x.reshape(-1, 1), 1)[0][:, 0]
@@ -169,14 +173,10 @@ class CopulaModel:
         t = _unit_points(t, self.d)[0][0]
         y = np.asarray(y, dtype=float)
         y_arr = np.atleast_1d(y)
-        top = float(self.margin_section(j, t[j], t))
+        top = float(self.margin_section(j, t[j], t))  # checks j
         if np.any(y_arr < -_EDGE_TOL) or np.any(y_arr > top * (1.0 + 1e-9) + _EDGE_TOL):
             raise ValueError("section inverse argument outside [0, C(t)]")
-        y_arr = np.clip(y_arr, 0.0, top)
-        out = self._section_inv_analytic(j, y_arr, t)
-        if out is None:
-            out = _itp_section_inv(self, j, y_arr, t, top)
-        out = np.clip(out, 0.0, t[j])
+        out = _section_inv_auto(self, j, np.clip(y_arr, 0.0, top), t, top)
         return float(out[0]) if y.ndim == 0 else out
 
     def __repr__(self):
@@ -193,6 +193,15 @@ def _section(model, block, j, x):
     """
     block[:, j] = x
     return model._at(block)
+
+
+def _section_inv_auto(model, j, y, t, top):
+    """Section inverses in [0, t_j] at values y in [0, top], top = C(t): the
+    model's analytic inverse where it has one, else ``_itp_section_inv``."""
+    out = model._section_inv_analytic(j, y, t)
+    if out is None:
+        out = _itp_section_inv(model, j, y, t, top)
+    return np.clip(out, 0.0, t[j])
 
 
 def _itp_section_inv(model, j, y, t, top):
@@ -564,17 +573,19 @@ def survival(model):
 
 @dataclass(frozen=True, eq=False)
 class TruncationPoint:
-    """A threshold vector t in (0, 1]^d together with its cached C(t) > 0."""
+    """A threshold vector t in (0, 1]^d together with its cached C(t) > 0 under ``model``."""
 
     t: np.ndarray
     c_of_t: float
+    model: CopulaModel = field(repr=False)
 
     @classmethod
     def make(cls, model, t):
+        """The point t of ``model``: a point made for another model is remade from its t."""
         if isinstance(t, TruncationPoint):
-            if t.t.shape != (model.d,):
-                raise ValueError("truncation point dimension mismatch")
-            return t
+            if t.model is model:
+                return t
+            t = t.t
         t = np.asarray(t, dtype=float).copy()
         if t.shape != (model.d,):
             raise ValueError(f"truncation point must have shape ({model.d},)")
@@ -584,15 +595,17 @@ class TruncationPoint:
         if not c > 0.0:
             raise ValueError("C(t) must be positive at the truncation point")
         t.setflags(write=False)
-        return cls(t=t, c_of_t=c)
+        return cls(t=t, c_of_t=c, model=model)
 
 
 class TruncatedCopula(CopulaModel):
     """The copula of U | U <= t on the unit cube (copula scale).
 
-    ``route`` names how ``sampling.sample_truncated`` draws from the form:
-    "oracle" (rejection plus the margin transform) unless a subclass has an
-    exact sampler.
+    By default it is the construction C(x(u)) / C(t), x_j = sec_j_inv(C(t) u_j),
+    with the source's analytic section inverses where it has them (``_x``); a
+    form overrides ``_section_inv`` or ``_cdf``.  ``route`` names how
+    ``sampling.sample_truncated`` draws from the form: "oracle" (rejection
+    plus the margin transform) unless a subclass has an exact sampler.
     """
 
     form = ""
@@ -603,6 +616,18 @@ class TruncatedCopula(CopulaModel):
         self.point = point
         self.d = source.d
 
+    def _section_inv(self, j, y):
+        """sec_j_inv(y) in [0, t_j] of the source at t, for y in [0, C(t)]."""
+        return _section_inv_auto(self.source, j, y, self.point.t, self.point.c_of_t)
+
+    def _x(self, pts):
+        """The source points x_j = sec_j_inv(C(t) u_j) in [0, t], one column per coordinate."""
+        c = self.point.c_of_t
+        return np.column_stack([self._section_inv(j, c * pts[:, j]) for j in range(self.d)])
+
+    def _cdf(self, pts):
+        return self.source._at(self._x(pts)) / self.point.c_of_t
+
     def _at(self, pts):
         return np.clip(self._cdf(pts), 0.0, 1.0)
 
@@ -610,12 +635,10 @@ class TruncatedCopula(CopulaModel):
     cdf = CopulaModel.cdf
 
     def _truncate(self, tp):
-        # U_t <= s exactly when the source's X <= t* with t*_j = F_{t,j}^{-1}(s_j),
-        # so this truncation is the source's own truncation at t*
+        # U_t <= s exactly when the source's X <= x(s), so this truncation is
+        # the source's own truncation at x(s)
         src = self.source
-        c = self.point.c_of_t
-        t_star = [src.margin_section_inv(j, c * tp.t[j], self.point.t) for j in range(self.d)]
-        return src._truncate(TruncationPoint.make(src, t_star))
+        return src._truncate(TruncationPoint.make(src, self._x(tp.t[None])[0]))
 
     def __repr__(self):
         t = np.array2string(self.point.t, separator=", ")
@@ -705,51 +728,27 @@ class NestedTruncation(ModelTruncation):
 
 
 class MOTruncation(TruncatedCopula):
-    """Piecewise closed form of a truncated bivariate Marshall-Olkin copula.
+    """Truncated bivariate Marshall-Olkin copula: the construction with the
+    model's exact section inverses (Marshall & Olkin 1967).
 
-    Case 1 applies when t2^a2 <= t1^a1 (the section minimum switches in u1),
-    case 2 is the mirror image in u2.  The singular component survives as a
-    curve u2(u1) ending strictly inside the square.
+    The singular component survives as the image of the source curve
+    x1^a1 = x2^a2; it ends inside the square when t2^a2 < t1^a1.
     """
 
     form = "marshall-olkin"
 
-    def __init__(self, source, point):
-        super().__init__(source, point)
-        a1, a2 = source.alpha1, source.alpha2
-        t1, t2 = float(point.t[0]), float(point.t[1])
-        self.ratio = t1**a1 / t2**a2  # >= 1 in case 1
-        self.case = 1 if t2**a2 <= t1**a1 else 2
-        if self.case == 1:
-            self.breakpoint = self.ratio ** (-(1.0 - a1) / a1)
-        else:
-            self.breakpoint = self.ratio ** ((1.0 - a2) / a2)
-
-    def _cdf(self, pts):
-        a1, a2 = self.source.alpha1, self.source.alpha2
-        r = self.ratio
-        u1 = pts[:, 0]
-        u2 = pts[:, 1]
-        if self.case == 1:
-            low = np.minimum((1.0 / r) ** (1.0 - a1) * u1 ** (1.0 - a1) * u2,
-                             u1 * u2 ** (1.0 - a2))
-            high = np.minimum(u1 * u2, r * u1 ** (1.0 / (1.0 - a1)) * u2 ** (1.0 - a2))
-            return np.where(u1 <= self.breakpoint, low, high)
-        low = np.minimum(u1 ** (1.0 - a1) * u2, r ** (1.0 - a2) * u1 * u2 ** (1.0 - a2))
-        high = np.minimum((1.0 / r) * u1 ** (1.0 - a1) * u2 ** (1.0 / (1.0 - a2)), u1 * u2)
-        return np.where(u2 <= self.breakpoint, low, high)
-
     def singular_curve(self, u1):
-        """u2 solving the singular-component equation at u1 (nan off-range)."""
-        a1, a2 = self.source.alpha1, self.source.alpha2
+        """u2 on the singular curve at u1 in [0, 1] (nan where the curve has left
+        the square); a scalar gives a float."""
         u1 = np.asarray(u1, dtype=float)
-        if self.case == 1:
-            u2 = (self.ratio ** (1.0 - a1) * u1**a1) ** (1.0 / a2)
-            valid = u1 <= self.breakpoint + _EDGE_TOL
-        else:
-            u2 = (self.ratio ** (1.0 - a2) * u1**a1) ** (1.0 / a2)
-            valid = np.ones_like(u1, dtype=bool)
-        return np.where(valid, u2, np.nan)
+        u = _unit_points(u1.reshape(-1, 1), 1)[0][:, 0]
+        t, c = self.point.t, self.point.c_of_t
+        x1 = self._section_inv(0, c * u)
+        x2 = x1 ** (self.source.alpha1 / self.source.alpha2)
+        u2 = self.source._at(np.column_stack([np.full_like(x2, t[0]), np.minimum(x2, t[1])])) / c
+        # the slack keeps the end point where x2 rounds just above t2
+        out = np.where(x2 <= t[1] * (1.0 + _EDGE_TOL), u2, np.nan).reshape(u1.shape)
+        return float(out) if u1.ndim == 0 else out
 
 
 class GeneralTruncation(TruncatedCopula):
@@ -764,13 +763,9 @@ class GeneralTruncation(TruncatedCopula):
 
     form = "general"
 
-    def _cdf(self, pts):
-        c = self.point.c_of_t
-        t = self.point.t
-        x = np.empty_like(pts)
-        for j in range(self.d):
-            x[:, j] = _itp_section_inv(self.source, j, c * pts[:, j], t, c)
-        return self.source._at(x) / c
+    def _section_inv(self, j, y):
+        # always numeric; the ITP bracket never leaves [0, t_j]
+        return _itp_section_inv(self.source, j, y, self.point.t, self.point.c_of_t)
 
 
 def truncate_general(model, t, method="auto"):

@@ -1,4 +1,5 @@
 import warnings
+from decimal import Decimal, localcontext
 from itertools import product
 
 import numpy as np
@@ -156,6 +157,16 @@ class TestMarginSection:
         t = np.array([0.5, 0.5])
         assert m.margin_section(0, 0.5, t) == pytest.approx(7.0**-0.5, rel=1e-13)
 
+    @pytest.mark.parametrize("name", sorted(ZOO))
+    def test_coordinate_index_checked(self, name):
+        # a negative index is not counted from the end, as in biv_margin
+        m, t = ZOO[name][0], ZOO_T[name]
+        for j in (-1, -m.d, m.d):
+            with pytest.raises(IndexError):
+                m.margin_section(j, 0.5, t)
+            with pytest.raises(IndexError):
+                m.margin_section_inv(j, 0.01, t)
+
 
 class TestMarginSectionInv:
     def test_independence(self):
@@ -232,6 +243,24 @@ class TestTruncationPoint:
         m = ArchimedeanCopula(generator("clayton", 2.0), 2)
         tp = TruncationPoint.make(m, [0.5, 0.5])
         assert tp.c_of_t == pytest.approx(7.0**-0.5, rel=1e-13)
+        assert TruncationPoint.make(m, tp) is tp
+
+    def test_point_of_another_model_is_remade(self):
+        # a point carries its own model's C(t): another model recomputes it from t
+        clayton = ArchimedeanCopula(generator("clayton", 2.0), 2)
+        gumbel = ArchimedeanCopula(generator("gumbel", 3.0), 2)
+        tp = truncate_general(clayton, [0.5, 0.5]).point
+        fresh = truncate_general(gumbel, [0.5, 0.5])
+        reused = truncate_general(gumbel, tp)
+        assert reused.point.model is gumbel and reused.point.t is not tp.t
+        assert reused.point.c_of_t == fresh.point.c_of_t == float(gumbel.cdf([0.5, 0.5]))
+        assert reused.cdf([0.5, 0.5]) == fresh.cdf([0.5, 0.5])
+        raw = oracle_sample(gumbel, [0.5, 0.5], 500, rng_stream(3))
+        assert np.array_equal(transform_margins(raw, gumbel, tp).data,
+                              transform_margins(raw, gumbel, [0.5, 0.5]).data)
+        with pytest.raises(ValueError):
+            TruncationPoint.make(NestedArchimedeanCopula(
+                generator("clayton", 2.0), [(generator("clayton", 2.0), 3)]), tp)
 
 
 class TestTruncateDispatch:
@@ -648,9 +677,8 @@ class TestMarshallOlkin:
     def test_case2_against_numeric(self):
         mo = MarshallOlkinCopula(0.2, 0.7)
         t = np.array([0.6, 0.9])
-        assert 0.9**0.7 > 0.6**0.2
+        assert not t[1] ** 0.7 <= t[0] ** 0.2  # case 2
         tc = truncate_general(mo, t)
-        assert tc.case == 2
         tb = truncate_general(mo, t, method="bisect")
         rng = np.random.default_rng(16)
         u = rng.random((400, 2))
@@ -660,8 +688,8 @@ class TestMarshallOlkin:
     def test_case1_against_numeric(self):
         mo = MarshallOlkinCopula(0.2, 0.7)
         t = np.array([0.9, 0.6])
+        assert t[1] ** 0.7 <= t[0] ** 0.2  # case 1
         tc = truncate_general(mo, t)
-        assert tc.case == 1
         tb = truncate_general(mo, t, method="bisect")
         rng = np.random.default_rng(17)
         u = rng.random((400, 2))
@@ -688,9 +716,51 @@ class TestMarshallOlkin:
     def test_singular_curve_range(self):
         mo = MarshallOlkinCopula(0.2, 0.7)
         tc = truncate_general(mo, [0.9, 0.6])  # case 1: curve ends at the breakpoint
-        assert np.isnan(tc.singular_curve(np.asarray(tc.breakpoint + 0.05)))
-        u2 = tc.singular_curve(np.asarray(tc.breakpoint))
+        breakpoint = (0.6**0.7 / 0.9**0.2) ** ((1.0 - 0.2) / 0.2)
+        assert np.isnan(tc.singular_curve(np.asarray(breakpoint + 0.05)))
+        u2 = tc.singular_curve(np.asarray(breakpoint))
         assert u2 == pytest.approx(1.0, abs=1e-10)
+
+    def test_singular_curve_checks_u1(self):
+        # u1 is checked as cdf checks points; a scalar gives a float
+        tc = truncate_general(MarshallOlkinCopula(0.2, 0.7), [0.9, 0.6])
+        for bad in (1.5, -0.2, np.nan, [0.3, 1.5]):
+            with pytest.raises(ValueError):
+                tc.singular_curve(bad)
+        assert type(tc.singular_curve(0.1)) is float
+        assert tc.singular_curve([[0.0, 0.1]]).shape == (1, 2)
+        assert tc.singular_curve(0.0) == 0.0
+
+
+def _decimal_mo_truncated_cdf(a1, a2, t, u):
+    """C_t(u) of a Marshall-Olkin copula in 50-digit decimal arithmetic.
+
+    The section x -> C(x; t_-j) is the minimum of two increasing powers, so
+    its inverse is the larger of their two inverses.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = [Decimal(a1), Decimal(a2)]
+        t = [Decimal(v) for v in t]
+
+        def cdf(x1, x2):
+            return min(x1 ** (1 - a[0]) * x2, x1 * x2 ** (1 - a[1]))
+
+        c = cdf(*t)
+        x = []
+        for j in (0, 1):
+            y, tm, aj, am = c * Decimal(u[j]), t[1 - j], a[j], a[1 - j]
+            x.append(max((y / tm) ** (1 / (1 - aj)), y / tm ** (1 - am)))
+        return float(cdf(*x) / c)
+
+
+@settings(max_examples=150)
+@given(a=st.lists(st.floats(1e-4, 1.0 - 1e-4), min_size=2, max_size=2),
+       t=_unit_vectors(2, 1e-6), u=_unit_vectors(2, 1e-6))
+def test_mo_truncated_cdf_against_decimal(a, t, u):
+    tc = truncate_general(MarshallOlkinCopula(*a), t)
+    want = _decimal_mo_truncated_cdf(*a, t, u)
+    assert abs(tc.cdf(u) - want) <= 5e-15 * want
 
 
 class TestSurvival:
@@ -840,6 +910,9 @@ def test_truncations_compose(name, data, seed):
     assert np.array_equal(composed.cdf(pts), direct.cdf(pts))
     bisected = truncate_general(tc, s, method="bisect")
     assert np.max(np.abs(composed.cdf(pts) - bisected.cdf(pts))) <= 1e-10
+    # a bisection truncation composes through its numeric x(s)
+    from_bisect = truncate_general(truncate_general(m, t, method="bisect"), s)
+    assert np.max(np.abs(composed.cdf(pts) - from_bisect.cdf(pts))) <= 1e-10
     sm = sample_truncated(composed, 50, rng_stream(seed))
     assert sm.meta["method"] == direct.route and sm.meta["form"] == direct.form
 

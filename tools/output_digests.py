@@ -14,9 +14,11 @@ found on the import path:
   truncated CDFs on a fixed grid, by the model's own form and by bisection
   (also on a 640-point grid, wide enough for the bisection's node table),
   ``sample_truncated`` rows with their meta, the raw ``oracle_sample`` rows
-  with their meta, a composed truncation's CDF and rows, section inverses,
-  and for nested truncations with a dependent root the bivariate margins
-  of a cross-sector and a same-sector pair;
+  with their meta, a composed truncation's CDF and rows, the CDF
+  of a bisection truncation composed again, section inverses, for nested
+  truncations with a dependent root the bivariate margins of a
+  cross-sector and a same-sector pair, and Marshall-Olkin singular curves
+  at a threshold of either case;
 * float64 edges: every family's tilted inverse at tilts 600 and 5e-320 with
   u down to 1e-300, and truncations whose tilt is huge (Frank at t = 1e-30)
   or subnormal (Gumbel(20) and an outer power with alpha 0.05 at t near 1);
@@ -172,6 +174,12 @@ def _models(tr):
         out[f"{key}/composed-cdf"] = _array_digest(composed.cdf(grid))
         out[f"{key}/composed-sample"] = _array_digest(
             tr.sample_truncated(composed, 200, tr.rng_stream(k, 1)).data)
+        out[f"{key}/composed-bisect-cdf"] = _array_digest(tr.truncate_general(bisect, s).cdf(grid))
+        if tc.form == "marshall-olkin":
+            # case 1 (t2^a2 <= t1^a1): the curve leaves the square through u2 = 1
+            for case, tt in (("case1", [0.9, 0.6]), ("case2", [0.6, 0.9])):
+                curve = tr.truncate_general(m, tt).singular_curve(np.linspace(0.0, 1.0, 33))
+                out[f"{key}/singular-curve-{case}"] = _array_digest(curve)
         if tc.form == "nested":
             # a cross-sector pair (first and last sector) and a pair inside the first wide sector
             last = len(m.sectors) - 1
