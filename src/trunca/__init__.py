@@ -32,9 +32,7 @@ from .copulas import (
     MOTruncation,
     NestedArchimedeanCopula,
     NestedTruncation,
-    ProductTruncation,
     SurvivalCopula,
-    TiltedArchimedeanTruncation,
     TruncatedCopula,
     TruncationPoint,
     box_mass,

@@ -80,12 +80,10 @@ def tail_dep_tilted(g, h=0.0, method="analytic"):
         return TailDepReport(*tg._tail_pair(), "analytic-limit")
     if method != "numeric":
         raise ValueError("method must be 'analytic' or 'numeric'")
-    g, h = tg.base, tg.h
 
     def ratio(tt):
-        return float(
-            np.exp(g.log_neg_psi_deriv(2.0 * tt + h) - g.log_neg_psi_deriv(tt + h))
-        )
+        # psi_h'(2t) / psi_h'(t) on the tilt itself: the constant log psi(h) cancels
+        return float(np.exp(tg.log_neg_psi_deriv(2.0 * tt) - tg.log_neg_psi_deriv(tt)))
 
     lower_seq = [2.0 * ratio(10.0**k) for k in range(2, 7)]
     upper_seq = [2.0 - 2.0 * ratio(10.0**-k) for k in range(2, 7)]

@@ -272,7 +272,7 @@ def cmd_taildep(args):
             raise ConfigError("--q needs --n of at least 1000 rows")
     model, tp, tc = _truncated(args)
     if tc.route == "tilted-frailty":
-        report = tail_dep_tilted(tc.tilted)
+        report = tail_dep_tilted(tc.model.generator)
     elif model.d == 2 and np.all(tp.t == tp.t[0]) and model.exchangeable:
         report = tail_dep_exchangeable_equal_t(model, float(tp.t[0]))
     else:

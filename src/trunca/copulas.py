@@ -12,8 +12,9 @@ truncated form in ``_truncate`` and its own section inverse
 (``_section_inv_analytic``, if it has one): Archimedean models stay
 Archimedean with a tilted generator (tilt psi_inv(C(t))), so their truncation
 is again an ``ArchimedeanCopula``; nested models stay nested, the root tilted
-by psi0_inv(C(t)) over truncated sector generators (an independence root keeps
-the product of the tilted sectors), bivariate Marshall-Olkin models are the
+by psi0_inv(C(t)) over the sectors the root truncates them to (no tilt changes
+an independence root, which keeps the product of the sectors' own
+truncations), bivariate Marshall-Olkin models are the
 construction with their exact section inverses, plus the image of their
 singular curve, and independence and comonotonicity are fixed points, sharing
 one base.  ``GeneralTruncation`` is the construction with every section
@@ -22,8 +23,8 @@ the form of everything else (survival wrappers in particular): one table of
 section values at up to 256 nodes brackets every value, and ITP narrows each
 bracket to a width relative to t_j, about 4-6 section evaluations per value on
 smooth sections and never more than two steps beyond bisecting its cell.  Each
-truncated form in turn names its sampling ``route`` (see
-``sampling.sample_truncated``).
+truncation names its ``form`` and sampling ``route`` (see
+``sampling.sample_truncated``); a nest's root generator names its nest's.
 
 Every Archimedean CDF is its generator's sum ``psi(sum_j psi_inv(u_j))``
 (``Generator._psi_sum``); a nest applies the root's sum to the sector values
@@ -35,7 +36,8 @@ kernels.
 
 A truncated copula is itself a ``CopulaModel``, and truncations compose:
 truncating C_t at s is truncating C at x(s), x_j(s) = sec_j_inv(C(t) s_j),
-so a truncation of a truncation comes back in the source's own closed form.
+so a truncation of a truncation comes back in the source's own closed form,
+and a bisection truncation composes to a bisection truncation.
 Each model class also knows its analytic tail coefficients (``_tail_dep``)
 and whether it is ``exchangeable``, and draws its own rows in ``_sample``,
 so a closed truncation samples, and reports both, as the model it is.
@@ -52,8 +54,7 @@ from itertools import product
 import numpy as np
 
 from .frailty import sample_frailty
-from .generators import (Generator, IndependenceGenerator, SamplingError, TruncatedSectorGenerator,
-                         _columnwise)
+from .generators import Generator, SamplingError, _columnwise
 
 __all__ = [
     "SamplingError",
@@ -68,8 +69,6 @@ __all__ = [
     "TruncationPoint",
     "TruncatedCopula",
     "ModelTruncation",
-    "TiltedArchimedeanTruncation",
-    "ProductTruncation",
     "NestedTruncation",
     "MOTruncation",
     "GeneralTruncation",
@@ -291,7 +290,7 @@ class _FixedPoint(CopulaModel):
         self.d = d
 
     def _truncate(self, tp):
-        return ModelTruncation(self, tp, self)
+        return ModelTruncation(self, tp, self, "model", "closed-model")
 
 
 class IndependenceCopula(_FixedPoint):
@@ -355,8 +354,9 @@ class ArchimedeanCopula(CopulaModel):
         return _shift(g, y, float(np.asarray(g.psi_inv(np.delete(t, j))).sum()))
 
     def _truncate(self, tp):
-        h = float(self.generator.psi_inv(tp.c_of_t))
-        return TiltedArchimedeanTruncation(self, tp, self.generator.tilt(h))
+        g = self.generator
+        model = ArchimedeanCopula(g.tilt(g.psi_inv(tp.c_of_t)), self.d)
+        return ModelTruncation(self, tp, model, "tilted-archimedean", "tilted-frailty")
 
     def _tail_dep(self):
         return self.generator._tail_pair()
@@ -435,16 +435,11 @@ class NestedArchimedeanCopula(CopulaModel):
         return _shift(g, _shift(root, y, outer_rest), inner_rest)
 
     def _truncate(self, tp):
-        pairs = list(zip(self.sectors, self._sector_tops(tp.t)))
-        if isinstance(self.root, IndependenceGenerator):
-            # an independence root makes the truncation the product of the
-            # truncated sectors: the same nest with each sector tilted by psi_s_inv(C_s(t_s))
-            sectors = [(g if ds == 1 else g.tilt(g.psi_inv(c)), ds) for (g, ds), c in pairs]
-            return ProductTruncation(self, tp, NestedArchimedeanCopula(self.root, sectors))
-        c = tp.c_of_t
-        sectors = [(TruncatedSectorGenerator(self.root, g, c, cs), ds) for (g, ds), cs in pairs]
-        tilted = self.root.tilt(self.root.psi_inv(c))
-        return NestedTruncation(self, tp, NestedArchimedeanCopula(tilted, sectors))
+        root, c = self.root, tp.c_of_t
+        sectors = [(root._truncated_sector(g, ds, c, cs), ds)
+                   for (g, ds), cs in zip(self.sectors, self._sector_tops(tp.t))]
+        model = NestedArchimedeanCopula(root.tilt(root._psi_inv(c)), sectors)
+        return NestedTruncation(self, tp, model, *root._nest_truncation)
 
     def _sample(self, n, rng):
         return self._propose(n, np.ones(self.d), rng)
@@ -496,11 +491,10 @@ class MarshallOlkinCopula(CopulaModel):
         aj = self.alpha1 if j == 0 else self.alpha2
         am = self.alpha2 if j == 0 else self.alpha1
         tm = float(t[1 - j])
-        cut = tm ** (1.0 - am + am / aj)
-        with np.errstate(divide="ignore"):
-            low = y / tm ** (1.0 - am)
-            high = np.power(y / tm, 1.0 / (1.0 - aj))
-        return np.where(y <= cut, low, high)
+        out = y / tm ** (1.0 - am)
+        high = y > tm ** (1.0 - am + am / aj)
+        out[high] = (y[high] / tm) ** (1.0 / (1.0 - aj))
+        return out
 
     @property
     def exchangeable(self):
@@ -605,7 +599,7 @@ class TruncatedCopula(CopulaModel):
     with the source's analytic section inverses where it has them (``_x``); a
     form overrides ``_section_inv`` or ``_cdf``.  ``route`` names how
     ``sampling.sample_truncated`` draws from the form: "oracle" (rejection
-    plus the margin transform) unless a subclass has an exact sampler.
+    plus the margin transform) unless the form has an exact sampler.
     """
 
     form = ""
@@ -646,14 +640,13 @@ class TruncatedCopula(CopulaModel):
 
 
 class ModelTruncation(TruncatedCopula):
-    """Truncations that are a model again (``model``): sampled and described as that model."""
+    """A truncation that is a model again (``model``), with the form and route its builder names."""
 
-    form = "model"
-    route = "closed-model"
-
-    def __init__(self, source, point, model):
+    def __init__(self, source, point, model, form, route):
         super().__init__(source, point)
         self.model = model
+        self.form = form
+        self.route = route
 
     @property
     def exchangeable(self):
@@ -672,37 +665,13 @@ class ModelTruncation(TruncatedCopula):
         return self.model._propose(n, t, rng)
 
 
-class TiltedArchimedeanTruncation(ModelTruncation):
-    """Archimedean truncation: Archimedean again, with tilt psi_inv(C(t))."""
-
-    form = "tilted-archimedean"
-    route = "tilted-frailty"
-
-    def __init__(self, source, point, tilted):
-        super().__init__(source, point, ArchimedeanCopula(tilted, source.d))
-        self.tilted = tilted
-
-
-class ProductTruncation(ModelTruncation):
-    """Truncation of an independence-coupled block model: the blockwise product.
-
-    Its ``model`` is the nest with the same independence root whose sectors
-    of dimension >= 2 carry their truncation's tilted generator.
-    """
-
-    form = "product"
-    route = "product"
-
-
 class NestedTruncation(ModelTruncation):
-    """Truncation of a nest with a dependent root: a nest again, sampled by the oracle.
-
-    ``model`` is the root tilted by psi0_inv(C(t)) over one ``TruncatedSectorGenerator``
-    per sector; the tilted root has no inner frailty law for them.
+    """Truncation of a nest: the root tilted by psi0_inv(C(t)) over the sectors the root
+    truncates them to (``_truncated_sector``), with the root's form and route
+    (``_nest_truncation``): under a dependent root one ``TruncatedSectorGenerator`` per
+    sector, "nested" on the oracle route; under independence the product of the sectors'
+    own truncations, "product" on the "product" route.
     """
-
-    form = "nested"
-    route = "oracle"
 
     def biv_margin(self, s1, j1, s2, j2, u1, u2):
         """Bivariate margin of coordinates (s1, j1) and (s2, j2): the CDF at 1 elsewhere.
@@ -766,6 +735,11 @@ class GeneralTruncation(TruncatedCopula):
     def _section_inv(self, j, y):
         # always numeric; the ITP bracket never leaves [0, t_j]
         return _itp_section_inv(self.source, j, y, self.point.t, self.point.c_of_t)
+
+    def _truncate(self, tp):
+        # composed, it stays the numeric reference: the source's bisection truncation at x(s)
+        src = self.source
+        return GeneralTruncation(src, TruncationPoint.make(src, self._x(tp.t[None])[0]))
 
 
 def truncate_general(model, t, method="auto"):

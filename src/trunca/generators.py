@@ -19,9 +19,10 @@ The public methods (``psi``, ``psi_inv``, ``psi_deriv`` and the logs) check
 their arguments; library code that already holds its values in range calls
 the ``_`` kernels, as ``_psi_sum`` and the tilted and outer-power kernels do.
 As the root of a nested model a family also says which sector generators
-nest under it (``_nests``) and how to draw a sector's frailty given the
-root's (``_inner_frailty``); roots without an inner law raise
-``SamplingError``.
+nest under it (``_nests``), how to draw a sector's frailty given the root's
+(``_inner_frailty``; roots without an inner law raise ``SamplingError``),
+what each sector becomes when the nest is truncated (``_truncated_sector``)
+and the form and sampling route of that truncation (``_nest_truncation``).
 
 A generator ``psi`` maps ``[0, inf)`` onto ``(0, 1]`` with ``psi(0) = 1``,
 strictly decreasing to 0, and is completely monotone on the stated parameter
@@ -134,6 +135,8 @@ class Generator:
 
     family: str = ""
     theta = None
+    # (form, route) of a truncated nest under this root: see ``sampling.sample_truncated``
+    _nest_truncation = ("nested", "oracle")
 
     def _psi(self, t):
         return np.exp(self._log_psi(t))
@@ -228,6 +231,10 @@ class Generator:
             "Clayton or Gumbel stacks"
         )
 
+    def _truncated_sector(self, g, ds, c, cs):
+        """Sector ``g`` (dimension ``ds``) truncated at C(t) = c, C_s(t_s) = cs, under this root."""
+        return TruncatedSectorGenerator(self, g, c, cs)
+
     def _tail_pair(self, alpha=1.0):
         """(lambda_l at any tilt, lambda_u at tilt 0) of the generator psi(t^alpha).
 
@@ -251,6 +258,7 @@ class IndependenceGenerator(Generator):
     """
 
     family = "independence"
+    _nest_truncation = ("product", "product")
 
     def _log_psi(self, t):
         return -t
@@ -268,6 +276,12 @@ class IndependenceGenerator(Generator):
         # tilting the exponential generator is the identity
         return -np.log(u)
 
+    def tilt(self, h):
+        # e^-(t + h) / e^-h = e^-t: every finite tilt is the exponential itself
+        if not 0.0 <= float(h) < np.inf:
+            raise ValueError("tilt h must be nonnegative and finite")
+        return self
+
     def _psi_sum(self, block):
         # exp(-sum_j -log x_j) is the product, which is exact
         return _columnwise(np.multiply, block)
@@ -281,6 +295,10 @@ class IndependenceGenerator(Generator):
     def _inner_frailty(self, g, v0, rng):
         # V0 = 1: each sector draws its own frailty, independently
         return sample_frailty(g, 0.0, rng, v0.size)
+
+    def _truncated_sector(self, g, ds, c, cs):
+        # the sectors stay independent: each is its own Archimedean truncation
+        return g if ds == 1 else g.tilt(g.psi_inv(cs))
 
 
 class ClaytonGenerator(Generator):

@@ -9,7 +9,8 @@ Archimedean copula is the Archimedean copula of the tilted generator.  The
 oracle route is the model-agnostic rejection sampler (resample until
 ``U <= t``), which doubles as the reference implementation every fast route
 is tested against, on the rows each model's ``_propose`` keeps inside ``t``.
-Which route a truncated copula takes is its class attribute ``route``;
+Which route a truncated copula takes is its ``route``, named by the model's
+``_truncate`` that built it (a nest's by its root generator);
 ``sample_truncated`` only follows it and records it.
 """
 
@@ -163,14 +164,14 @@ def transform_margins(raw, model, t):
 
 
 def sample_truncated(tc, n, rng):
-    """Sample a truncated copula by the route its class names (``tc.route``).
+    """Sample a truncated copula by the route it names (``tc.route``).
 
     "oracle" (Marshall-Olkin, nested with a dependent root, survival,
     generic) goes through the rejection oracle plus the margin transform.
-    Every other route is the truncation's own ``_sample``, which draws its
-    model, ``tc.model``: the tilted Archimedean copula ("tilted-frailty"), a
-    closed model ("closed-model"), or the nest with an independence root
-    ("product").
+    Every other route belongs to a ``ModelTruncation`` and is its own
+    ``_sample``, which draws its model, ``tc.model``: the tilted Archimedean
+    copula ("tilted-frailty"), a fixed point ("closed-model"), or the nest
+    with an independence root ("product").
     The route is recorded as ``meta["method"]``, the form as ``meta["form"]``.
     """
     if not isinstance(tc, TruncatedCopula):

@@ -58,13 +58,13 @@ def test_c01_closure_identities():
             t = rng.uniform(0.15, 0.95, size=2)
             m = ArchimedeanCopula(generator(fam, th), 2)
             tc = truncate_general(m, t)
-            h, c = tc.tilted.h, tc.point.c_of_t
+            h, c = tc.model.generator.h, tc.point.c_of_t
             m2 = ArchimedeanCopula(generator(fam, closed_theta(th, h, c)), 2)
             dev = float(np.max(np.abs(tc.cdf(pts) - m2.cdf(pts))))
             worst = max(worst, dev)
             if fam != "clayton":  # generator-level identity (Clayton rescales)
                 gdev = float(
-                    np.max(np.abs(np.asarray(tc.tilted.psi(grid_t)) - np.asarray(m2.generator.psi(grid_t))))
+                    np.max(np.abs(np.asarray(tc.model.generator.psi(grid_t)) - np.asarray(m2.generator.psi(grid_t))))
                 )
                 worst = max(worst, gdev)
             assert dev <= 1e-10, (fam, th, t)

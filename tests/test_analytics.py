@@ -65,6 +65,7 @@ class TestTailDepTilted:
             (generator("gumbel", 1.5, outer_alpha=0.8), 0.0),
             (generator("joe", 2.0, outer_alpha=0.6), 0.0),
             (generator("independence", outer_alpha=0.5), 0.0),
+            (generator("independence"), 2.0),
         ]:
             a = tail_dep_tilted(g, h)
             n = tail_dep_tilted(g, h, method="numeric")
@@ -89,8 +90,10 @@ class TestTailDepTilted:
     @pytest.mark.parametrize("method", ["analytic", "numeric"])
     @pytest.mark.parametrize("h", [-0.5, float("nan")])
     def test_invalid_tilt_rejected(self, h, method):
-        with pytest.raises(ValueError, match="tilt h must be nonnegative"):
-            tail_dep_tilted(generator("gumbel", 2.0), h, method=method)
+        # independence checks h too, although every tilt leaves it unchanged
+        for g in (generator("gumbel", 2.0), generator("independence")):
+            with pytest.raises(ValueError, match="tilt h must be nonnegative"):
+                tail_dep_tilted(g, h, method=method)
 
     def test_upper_zero_for_all_families_tilted(self):
         for fam, th in (
@@ -176,7 +179,7 @@ class TestModelTailDep:
         for fam, th, t in (("clayton", 2.0, [0.5, 0.5]), ("gumbel", 2.0, [0.7, 0.6])):
             m = ArchimedeanCopula(generator(fam, th), 2)
             tc = truncate_general(m, t)
-            rep = tail_dep_tilted(tc.tilted)
+            rep = tail_dep_tilted(tc.model.generator)
             assert model_tail_dep(tc.model) == (rep.lambda_lower, 0.0)
             assert model_tail_dep(tc.model)[0] == model_tail_dep(m)[0]
         tc = truncate_general(ArchimedeanCopula(generator("gumbel", 2.0), 2), [1.0, 1.0])

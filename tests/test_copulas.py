@@ -19,9 +19,7 @@ from trunca import (
     MOTruncation,
     NestedArchimedeanCopula,
     NestedTruncation,
-    ProductTruncation,
     SamplingError,
-    TiltedArchimedeanTruncation,
     TruncationPoint,
     box_mass,
     empirical_copula_distance,
@@ -276,8 +274,9 @@ class TestTruncateDispatch:
     def test_clayton_closure_pointwise(self):
         m = ArchimedeanCopula(generator("clayton", 2.0), 2)
         tc = truncate_general(m, [0.5, 0.5])
-        assert isinstance(tc, TiltedArchimedeanTruncation)
-        assert tc.tilted.h == pytest.approx(6.0, rel=1e-12)
+        assert type(tc) is ModelTruncation
+        assert (tc.form, tc.route) == ("tilted-archimedean", "tilted-frailty")
+        assert tc.model.generator.h == pytest.approx(6.0, rel=1e-12)
         rng = np.random.default_rng(3)
         pts = rng.random((500, 2))
         assert np.max(np.abs(tc.cdf(pts) - m.cdf(pts))) <= 1e-12
@@ -459,7 +458,7 @@ class TestNested:
         )
         t = np.array([0.5, 0.6, 0.9])
         tc = truncate_general(m, t)
-        assert isinstance(tc, ProductTruncation)
+        assert type(tc) is NestedTruncation and (tc.form, tc.route) == ("product", "product")
         block = truncate_general(ArchimedeanCopula(generator("clayton", 2.0), 2), t[:2])
         rng = np.random.default_rng(12)
         u = rng.random((200, 3))
@@ -617,7 +616,8 @@ def test_truncated_nest_is_a_nest(m, data, seed):
     tc = truncate_general(m, t)
     assert isinstance(tc.model, NestedArchimedeanCopula)
     independent = m.root.family == "independence"
-    assert type(tc) is (ProductTruncation if independent else NestedTruncation)
+    assert type(tc) is NestedTruncation
+    assert (tc.form, tc.route) == (("product", "product") if independent else ("nested", "oracle"))
     rng = np.random.default_rng(seed)
     pts = rng.random((20, m.d))
     bisected = truncate_general(m, t, method="bisect")
@@ -626,10 +626,8 @@ def test_truncated_nest_is_a_nest(m, data, seed):
     s = data.draw(_unit_vectors(m.d, 0.3), label="s")
     again = truncate_general(tc.model, s).cdf(pts)
     assert np.max(np.abs(again - truncate_general(tc, s).cdf(pts))) <= 1e-12
-    if independent:
-        return
     # a bivariate margin is Archimedean: in its truncated sector generator
-    # within a sector, in the tilted root across sectors
+    # within a sector, in the tilted root across sectors (the product under independence)
     u1, u2 = rng.random(30), rng.random(30)
     pair = np.column_stack([u1, u2])
     for s1, (g, ds) in enumerate(tc.model.sectors):
@@ -637,8 +635,10 @@ def test_truncated_nest_is_a_nest(m, data, seed):
             same = ArchimedeanCopula(g).cdf(pair)
             assert np.max(np.abs(tc.biv_margin(s1, 0, s1, 1, u1, u2) - same)) <= 1e-12
     if len(m.sectors) >= 2:
-        cross = ArchimedeanCopula(tc.model.root).cdf(pair)
-        assert np.max(np.abs(tc.biv_margin(0, 0, 1, 0, u1, u2) - cross)) <= 1e-12
+        cross = u1 * u2 if independent else ArchimedeanCopula(tc.model.root).cdf(pair)
+        # a few ulps under independence: a tilted sector's psi_inv(1) can round above 0
+        tol = 5e-15 if independent else 1e-12
+        assert np.max(np.abs(tc.biv_margin(0, 0, 1, 0, u1, u2) - cross)) <= tol
     # exact 0s and 1s pass through the kernels without a floating-point warning
     edges = np.array(list(product([0.0, 1.0, 0.5], repeat=m.d)))
     with warnings.catch_warnings():
@@ -869,7 +869,7 @@ def test_tilted_route_is_the_archimedean_sampler():
         m, t = model_zoo()[name]
         tc = truncate_general(m, t)
         got = sample_truncated(tc, 1000, rng_stream(41))
-        ref = sample_archimedean(tc.tilted, m.d, 1000, rng_stream(41))
+        ref = sample_archimedean(tc.model.generator, m.d, 1000, rng_stream(41))
         assert np.array_equal(got.data, ref)
 
 
@@ -912,6 +912,7 @@ def test_truncations_compose(name, data, seed):
     assert np.max(np.abs(composed.cdf(pts) - bisected.cdf(pts))) <= 1e-10
     # a bisection truncation composes through its numeric x(s)
     from_bisect = truncate_general(truncate_general(m, t, method="bisect"), s)
+    assert type(from_bisect) is GeneralTruncation and from_bisect.source is m
     assert np.max(np.abs(composed.cdf(pts) - from_bisect.cdf(pts))) <= 1e-10
     sm = sample_truncated(composed, 50, rng_stream(seed))
     assert sm.meta["method"] == direct.route and sm.meta["form"] == direct.form

@@ -234,7 +234,7 @@ class TestTilt:
         assert generator("frank", 4.0).tilt(80.0).psi_inv(1e-300) == pytest.approx(
             690.7755278982137, rel=1e-15)
         tc = truncate_general(ArchimedeanCopula(generator("frank", 4.0)), [1e-30, 1e-30])
-        assert tc.tilted.h == pytest.approx(135.3, abs=0.1)
+        assert tc.model.generator.h == pytest.approx(135.3, abs=0.1)
         # near independence at this tilt: C_t(u1, u2) ~ u1 u2
         assert tc.cdf([1e-300, 0.5]) == pytest.approx(5e-301, rel=1e-12)
 
@@ -243,8 +243,8 @@ class TestTilt:
         # h = 8.1e-320 (Gumbel) and 8.5e-314 (outer power): h expm1(L) with L > 709
         m = ArchimedeanCopula(g)
         tc = truncate_general(m, [1.0 - 2.0**-53, 1.0])
-        assert 0.0 < tc.tilted.h < 1e-312
-        assert np.isfinite(tc.tilted.psi_inv(0.5))
+        assert 0.0 < tc.model.generator.h < 1e-312
+        assert np.isfinite(tc.model.generator.psi_inv(0.5))
         u = np.random.default_rng(16).random((1000, 2))
         assert_allclose(tc.cdf(u), m.cdf(u), rtol=1e-13, atol=0.0)
 

@@ -16,8 +16,8 @@ found on the import path:
   ``sample_truncated`` rows with their meta, the raw ``oracle_sample`` rows
   with their meta, a composed truncation's CDF and rows, the CDF
   of a bisection truncation composed again, section inverses, for nested
-  truncations with a dependent root the bivariate margins of a
-  cross-sector and a same-sector pair, and Marshall-Olkin singular curves
+  truncations (a dependent or an independence root) the bivariate margins
+  of a cross-sector and a same-sector pair, and Marshall-Olkin singular curves
   at a threshold of either case;
 * float64 edges: every family's tilted inverse at tilts 600 and 5e-320 with
   u down to 1e-300, and truncations whose tilt is huge (Frank at t = 1e-30)
@@ -144,7 +144,7 @@ def _edges(tr):
         tc = tr.truncate_general(m, t)
         out[f"edge/model/{name}/c_of_t"] = _array_digest(tc.point.c_of_t)
         out[f"edge/model/{name}/cdf"] = _array_digest(tc.cdf(grid))
-        out[f"edge/model/{name}/tilted-psi_inv"] = _array_digest(tc.tilted.psi_inv(u))
+        out[f"edge/model/{name}/tilted-psi_inv"] = _array_digest(tc.model.generator.psi_inv(u))
     return out
 
 
@@ -180,7 +180,7 @@ def _models(tr):
             for case, tt in (("case1", [0.9, 0.6]), ("case2", [0.6, 0.9])):
                 curve = tr.truncate_general(m, tt).singular_curve(np.linspace(0.0, 1.0, 33))
                 out[f"{key}/singular-curve-{case}"] = _array_digest(curve)
-        if tc.form == "nested":
+        if tc.form in ("nested", "product"):
             # a cross-sector pair (first and last sector) and a pair inside the first wide sector
             last = len(m.sectors) - 1
             pair = next(i for i, (_, ds) in enumerate(m.sectors) if ds >= 2)
