@@ -20,6 +20,7 @@ import numpy as np
 
 from .copulas import ArchimedeanCopula, TruncationPoint
 from .frailty import rng_stream
+from .generators import _check_range
 from .sampling import _sorted_runs
 
 __all__ = [
@@ -154,8 +155,7 @@ def kendall_dist_truncated(g, t, u):
 
     u_in = np.asarray(u, dtype=float)
     uu = np.atleast_1d(u_in)
-    if np.any(uu < 0) or np.any(uu > 1):
-        raise ValueError("u must lie in [0, 1]")
+    _check_range(uu, 0.0, 1.0, "u must lie in [0, 1]")
     out = np.zeros(uu.shape)
     pos = uu > 0
     if np.any(pos):

@@ -22,6 +22,7 @@ from .analytics import (
 )
 from .copulas import TruncationPoint, truncate_general
 from .frailty import rng_stream
+from .generators import _check_range
 from .modelspec import SCHEMA, load_model, model_from_dict, model_to_dict
 from .sampling import (
     SamplingError,
@@ -152,16 +153,17 @@ def _parse_vector(text, d, what):
         vec = np.asarray([float(tok) for tok in text.split(",")], dtype=float)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {what} {text!r}: {exc}") from None
-    if vec.size != d:
+    if d is not None and vec.size != d:
         raise ConfigError(f"{what} must have {d} components, got {vec.size}")
     return vec
 
 
-def _unit_rows(args, d):
-    pts = np.vstack([_parse_vector(u, d, "--u") for u in args.u])
-    if not np.all((pts >= 0.0) & (pts <= 1.0)):
-        raise ConfigError("--u values must lie in [0, 1]")
-    return pts
+def _unit_values(texts, d=None):
+    """The --u values, checked to lie in [0, 1]: one row of d per text, or (d None) one vector."""
+    vecs = [_parse_vector(text, d, "--u") for text in texts]
+    vals = np.vstack(vecs) if d else np.concatenate(vecs)
+    _check_range(vals, 0.0, 1.0, "--u values must lie in [0, 1]", ConfigError)
+    return vals
 
 
 def _load(args):
@@ -233,29 +235,18 @@ def cmd_sample(args):
 
 def cmd_cdf(args):
     model = _load(args)
-    pts = _unit_rows(args, model.d)
+    pts = _unit_values(args.u, model.d)
     vals = np.atleast_1d(model.cdf(pts))
-    _emit_json(
-        {"schema": SCHEMA, "points": pts.tolist(), "values": vals.tolist()}, args.out
-    )
+    _emit_json({"schema": SCHEMA, "points": pts.tolist(), "values": vals.tolist()}, args.out)
     return 0
 
 
 def cmd_truncate_eval(args):
     model, tp, tc = _truncated(args)
-    pts = _unit_rows(args, model.d)
+    pts = _unit_values(args.u, model.d)
     vals = np.atleast_1d(tc.cdf(pts))
-    _emit_json(
-        {
-            "schema": SCHEMA,
-            "t": tp.t.tolist(),
-            "c_of_t": tp.c_of_t,
-            "form": tc.form,
-            "points": pts.tolist(),
-            "values": vals.tolist(),
-        },
-        args.out,
-    )
+    _emit_json({"schema": SCHEMA, "t": tp.t.tolist(), "c_of_t": tp.c_of_t, "form": tc.form,
+                "points": pts.tolist(), "values": vals.tolist()}, args.out)
     return 0
 
 
@@ -292,14 +283,7 @@ def cmd_taildep(args):
 def cmd_kendall(args):
     if args.n < 2:
         raise ConfigError("kendall needs --n of at least 2")
-    us = None
-    if args.u:
-        try:
-            us = np.asarray([float(tok) for text in args.u for tok in text.split(",")])
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse --u: {exc}") from None
-        if not np.all((us >= 0.0) & (us <= 1.0)):
-            raise ConfigError("--u values must lie in [0, 1]")
+    us = _unit_values(args.u) if args.u else None
     model, tp, tc = _truncated(args)
     if us is not None and not (tc.route == "tilted-frailty" and model.d in (2, 3)):
         raise ConfigError(
@@ -313,12 +297,8 @@ def cmd_kendall(args):
             tau[i, j] = tau[j, i] = empirical_kendall_tau(sm, i, j)
     payload = {"schema": SCHEMA, "t": tp.t.tolist(), "n": sm.n, "tau": tau.tolist()}
     if us is not None:
-        payload["kendall_dist"] = {
-            "u": us.tolist(),
-            "K": np.atleast_1d(
-                kendall_dist_truncated(model.generator, tp.t, us)
-            ).tolist(),
-        }
+        k = kendall_dist_truncated(model.generator, tp.t, us)
+        payload["kendall_dist"] = {"u": us.tolist(), "K": k.tolist()}
     _emit_json(payload, args.out)
     return 0
 

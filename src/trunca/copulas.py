@@ -54,7 +54,7 @@ from itertools import product
 import numpy as np
 
 from .frailty import sample_frailty
-from .generators import Generator, SamplingError, _columnwise
+from .generators import Generator, SamplingError, _check_range, _columnwise
 
 __all__ = [
     "SamplingError",
@@ -90,9 +90,9 @@ def _unit_points(u, d):
     pts = np.atleast_2d(arr)
     if pts.ndim != 2 or pts.shape[1] != d:
         raise ValueError(f"expected points of dimension {d}, got shape {arr.shape}")
-    if np.any(np.isnan(pts)) or np.any(pts < -_EDGE_TOL) or np.any(pts > 1.0 + _EDGE_TOL):
-        raise ValueError("points must lie in the unit cube")
-    return np.clip(pts, 0.0, 1.0), squeeze
+    lo, hi = _check_range(pts, -_EDGE_TOL, 1.0 + _EDGE_TOL, "points must lie in the unit cube")
+    # the caller's own array unless a value needs clipping: library code never writes into it
+    return (np.clip(pts, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else pts), squeeze
 
 
 def _inside(u, t):
@@ -173,8 +173,8 @@ class CopulaModel:
         y = np.asarray(y, dtype=float)
         y_arr = np.atleast_1d(y)
         top = float(self.margin_section(j, t[j], t))  # checks j
-        if np.any(y_arr < -_EDGE_TOL) or np.any(y_arr > top * (1.0 + 1e-9) + _EDGE_TOL):
-            raise ValueError("section inverse argument outside [0, C(t)]")
+        _check_range(y_arr, -_EDGE_TOL, top * (1.0 + 1e-9) + _EDGE_TOL,
+                     "section inverse argument outside [0, C(t)]")
         out = _section_inv_auto(self, j, np.clip(y_arr, 0.0, top), t, top)
         return float(out[0]) if y.ndim == 0 else out
 
@@ -583,8 +583,8 @@ class TruncationPoint:
         t = np.asarray(t, dtype=float).copy()
         if t.shape != (model.d,):
             raise ValueError(f"truncation point must have shape ({model.d},)")
-        if np.any(np.isnan(t)) or np.any(t <= 0.0) or np.any(t > 1.0):
-            raise ValueError("truncation point must lie in (0, 1]^d")
+        # from the least positive float: t in (0, 1]
+        _check_range(t, np.nextafter(0.0, 1.0), 1.0, "truncation point must lie in (0, 1]^d")
         c = float(model.cdf(t))
         if not c > 0.0:
             raise ValueError("C(t) must be positive at the truncation point")

@@ -70,33 +70,50 @@ class SamplingError(RuntimeError):
     """Raised when a sampler cannot produce the requested output."""
 
 
+def _where(cond, f, g, x):
+    """``np.where(cond, f(x), g(x))`` bit for bit, as an array of x's shape (0-d included),
+    each branch evaluated only where it is taken: the more common one on all of x, the
+    other under its mask."""
+    x, cond = np.asarray(x, dtype=float), np.asarray(cond)
+    n = np.count_nonzero(cond)
+    common, other = (f, g) if 2 * n > x.size else (g, f)
+    out = np.asarray(common(x))
+    if 0 < n < x.size:
+        mask = ~cond if common is f else cond
+        out[mask] = other(x[mask])
+    return out
+
+
 def log1mexp(x):
     """log(1 - exp(x)) for x <= 0, stable near both endpoints.
 
-    Uses ``log(-expm1(x))`` for x > -log 2 and ``log1p(-exp(x))`` otherwise.
+    Uses ``log(-expm1(x))`` for x > -log 2 and ``log1p(-exp(x))`` otherwise,
+    each only on the values that take it.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        near = x > -_LOG2
-        out = np.where(
-            near,
-            np.log(-np.expm1(np.where(near, x, -1.0))),
-            np.log1p(-np.exp(np.where(near, -1.0, x))),
-        )
-    return out
+        return _where(x > -_LOG2, lambda y: np.log(-np.expm1(y)),
+                      lambda y: np.log1p(-np.exp(y)), x)
+
+
+def _check_range(x, lo, hi, message, error=ValueError):
+    """(min, max) of the array x, one reduction each; raises ``error(message)`` unless
+    lo <= x <= hi.  NaN fails the check, an empty x passes it."""
+    x_lo, x_hi = (x.min(), x.max()) if x.size else (hi, lo)
+    if not (lo <= x_lo and x_hi <= hi):
+        raise error(message)
+    return x_lo, x_hi
 
 
 def _validated_t(t):
     t = np.asarray(t, dtype=float)
-    if np.any(np.isnan(t)) or np.any(t < 0):
-        raise ValueError("generator argument t must be nonnegative")
+    _check_range(t, 0.0, np.inf, "generator argument t must be nonnegative")
     return t
 
 
 def _validated_u(u):
     u = np.asarray(u, dtype=float)
-    if np.any(np.isnan(u)) or np.any(u < 0) or np.any(u > 1):
-        raise ValueError("generator inverse argument must lie in [0, 1]")
+    _check_range(u, 0.0, 1.0, "generator inverse argument must lie in [0, 1]")
     return u
 
 
@@ -106,9 +123,7 @@ def _scalar_like(out, ref):
 
 def _h_expm1(h, x):
     """h expm1(x) for h > 0, finite where expm1(x) overflows but the product does not."""
-    out = h * np.expm1(x)
-    big = x >= 700.0
-    return np.where(big, np.exp(np.log(h) + x), out) if np.any(big) else out
+    return _where(x >= 700.0, lambda y: np.exp(np.log(h) + y), lambda y: h * np.expm1(y), x)
 
 
 def _columnwise(op, block):
@@ -211,7 +226,9 @@ class Generator:
             # of AMH, Frank and Joe, psi_inv(v) = log K - log v
             log_k = self._log_psi(745.0) + 745.0
             out = np.where(tiny, log_k - self._log_psi(h) - h - np.log(u), out)
-        return out
+        # the difference need not cancel at u = 1, where psi_h^-1 is exactly 0
+        one = u == 1.0
+        return np.where(one, 0.0, out) if np.any(one) else out
 
     def _frailty(self, h, rng, n):
         """n draws of the frailty tilted by e^{-hv}, Laplace transform psi(t + h)/psi(h)."""
@@ -404,10 +421,9 @@ class FrankGenerator(Generator):
 
     def _log_psi(self, t):
         z = self._log_p - t
-        v = -log1mexp(z)
         with np.errstate(divide="ignore"):
-            out = np.where(z < -700.0, z, np.log(v))
-        return out - np.log(self.theta)
+            return _where(z < -700.0, lambda y: y - np.log(self.theta),
+                          lambda y: np.log(-log1mexp(y)) - np.log(self.theta), z)
 
     def _psi_inv(self, u):
         # log(p) - log(1 - e^(-theta u))
@@ -499,8 +515,8 @@ class JoeGenerator(Generator):
 
     def _log_psi(self, t):
         # the inner log1mexp underflows to -0 past t ~ 745; psi(t) ~ e^-t/theta there
-        out = log1mexp(log1mexp(-t) / self.theta)
-        return np.where(t > 700.0, -t - np.log(self.theta), out)
+        return _where(t > 700.0, lambda y: -y - np.log(self.theta),
+                      lambda y: log1mexp(log1mexp(-y) / self.theta), t)
 
     def _psi_inv(self, u):
         # -log(1 - (1-u)^theta)

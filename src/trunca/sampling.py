@@ -23,6 +23,7 @@ import numpy as np
 
 from .copulas import SamplingError, TruncatedCopula, TruncationPoint, _inside  # noqa: F401
 from .frailty import sample_frailty
+from .generators import _check_range
 
 __all__ = [
     "SampleMatrix",
@@ -54,8 +55,7 @@ class SampleMatrix:
         self.data = np.asarray(self.data, dtype=float)
         if self.data.ndim != 2 or self.data.shape[0] < 1:
             raise ValueError("sample data must be a nonempty (n, d) array")
-        if np.any(np.isnan(self.data)) or np.any(self.data < 0) or np.any(self.data > 1):
-            raise ValueError("sample entries must lie in [0, 1]")
+        _check_range(self.data, 0.0, 1.0, "sample entries must lie in [0, 1]")
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.data, dtype=dtype, copy=copy)
@@ -151,8 +151,8 @@ def transform_margins(raw, model, t):
     """
     tp = TruncationPoint.make(model, t)
     X = np.asarray(raw, dtype=float)
-    if np.any(X > tp.t + 1e-9) or np.any(X < 0):
-        raise ValueError("rows must lie inside [0, t]")
+    for col, tj in zip(X.T, tp.t, strict=True):
+        _check_range(col, 0.0, tj + 1e-9, "rows must lie inside [0, t]")
     cols = [
         np.atleast_1d(model.margin_section(j, X[:, j], tp.t)) / tp.c_of_t
         for j in range(model.d)

@@ -207,6 +207,12 @@ class TestKendallDistribution:
         assert kendall_dist_truncated(g, [0.5, 0.5], 1.0) == pytest.approx(1.0, abs=1e-12)
         assert kendall_dist_truncated(g, [0.5, 0.5], 0.0) == 0.0
 
+    def test_nan_rejected(self):
+        g = generator("clayton", 2.0)
+        for u in (np.nan, [0.3, np.nan]):
+            with pytest.raises(ValueError, match="u must lie in"):
+                kendall_dist_truncated(g, [0.5, 0.5], u)
+
     def test_classical_limit_d2(self):
         g = generator("gumbel", 2.0)
         u = np.linspace(0.01, 0.99, 25)

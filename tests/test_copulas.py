@@ -1,3 +1,4 @@
+import argparse
 import warnings
 from decimal import Decimal, localcontext
 from itertools import product
@@ -19,12 +20,14 @@ from trunca import (
     MOTruncation,
     NestedArchimedeanCopula,
     NestedTruncation,
+    SampleMatrix,
     SamplingError,
     TruncationPoint,
     box_mass,
     empirical_copula_distance,
     ev_scaling_check,
     generator,
+    kendall_dist_truncated,
     model_tail_dep,
     oracle_sample,
     pseudo_observations,
@@ -37,7 +40,7 @@ from trunca import (
     truncate_general,
     truncated_cdf,
 )
-from trunca import copulas, generators
+from trunca import cli, copulas, generators
 from trunca.copulas import (
     BISECT_WIDTH,
     SECTION_NODES,
@@ -636,7 +639,7 @@ def test_truncated_nest_is_a_nest(m, data, seed):
             assert np.max(np.abs(tc.biv_margin(s1, 0, s1, 1, u1, u2) - same)) <= 1e-12
     if len(m.sectors) >= 2:
         cross = u1 * u2 if independent else ArchimedeanCopula(tc.model.root).cdf(pair)
-        # a few ulps under independence: a tilted sector's psi_inv(1) can round above 0
+        # a few ulps under independence: each sector margin is the round trip psi_h(psi_h^-1(u))
         tol = 5e-15 if independent else 1e-12
         assert np.max(np.abs(tc.biv_margin(0, 0, 1, 0, u1, u2) - cross)) <= tol
     # exact 0s and 1s pass through the kernels without a floating-point warning
@@ -1122,6 +1125,72 @@ def test_cdf_checks_its_points_once(name, monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         model.cdf(pts)
         assert calls == {"_unit_points": 1, "_validated_u": 0, "_validated_t": 0}, repr(model)
+
+
+def _range_check_sites():
+    """(name, call(v) on a 1-d array v in the checked slot, lo, hi, lo_open, message, takes_empty)."""
+    m = ArchimedeanCopula(generator("clayton", 2.0), 2)
+    g, t = m.generator, np.array([0.5, 0.5])
+    tol = copulas._EDGE_TOL
+    top = float(m.margin_section(0, t[0], t))
+
+    def with_column(v, x):
+        return np.column_stack([v, np.full(v.size, x)])
+
+    def cli_rows(v):
+        cli._unit_values([f"{float(x)!r},0.5" for x in v], 2)
+
+    def cli_kendall(v):
+        u = ",".join(repr(float(x)) for x in v)
+        cli.cmd_kendall(argparse.Namespace(n=10, u=[u], model="no-such-model.json", t="0.5,0.5"))
+
+    return [
+        ("cdf", lambda v: m.cdf(with_column(v, 0.5)), -tol, 1.0 + tol, False,
+         "points must lie in the unit cube", True),
+        ("margin_section_inv", lambda v: m.margin_section_inv(0, v, t), -tol,
+         top * (1.0 + 1e-9) + tol, False, "section inverse argument", True),
+        ("TruncationPoint", lambda v: [TruncationPoint.make(m, [x, 0.5]) for x in v], 0.0, 1.0, True,
+         "truncation point must lie", False),
+        ("psi", g.psi, 0.0, np.inf, False, "must be nonnegative", True),
+        ("psi_inv", g.psi_inv, 0.0, 1.0, False, "inverse argument must lie", True),
+        ("SampleMatrix", lambda v: SampleMatrix(with_column(v, 0.5)), 0.0, 1.0, False,
+         "sample entries must lie", True),
+        ("transform_margins", lambda v: transform_margins(with_column(v, 0.25), m, t), 0.0,
+         0.5 + 1e-9, False, "rows must lie inside", True),
+        ("kendall_dist_truncated", lambda v: kendall_dist_truncated(g, t, v), 0.0, 1.0, False,
+         "u must lie in", True),
+        ("cli --u", cli_rows, 0.0, 1.0, False, "--u values must lie", False),
+        ("cli kendall --u", cli_kendall, 0.0, 1.0, False, "--u values must lie", False),
+    ]
+
+
+@pytest.mark.parametrize("site", _range_check_sites(), ids=lambda site: site[0])
+def test_range_checks_share_one_rule(site):
+    # every argument check rejects NaN, +-inf and the first float past either bound,
+    # and passes its bounds and empty arrays
+    _, call, lo, hi, lo_open, message, takes_empty = site
+
+    def rejects(v):
+        try:
+            call(np.asarray(v, dtype=float))
+        except (ValueError, cli.ConfigError) as exc:
+            return message in str(exc)
+        return False
+
+    assert rejects([np.nextafter(lo, -np.inf)]) and rejects([np.nan]) and rejects([-np.inf])
+    assert rejects([lo]) == lo_open and not rejects([np.nextafter(lo, np.inf)])
+    assert not rejects([hi])
+    if np.isfinite(hi):
+        assert rejects([np.nextafter(hi, np.inf)]) and rejects([np.inf])
+    else:
+        assert not rejects([np.inf])
+    if takes_empty:
+        assert not rejects(np.empty(0))
+
+
+def test_section_inverse_rejects_nan():
+    with pytest.raises(ValueError, match="section inverse argument"):
+        ArchimedeanCopula(generator("clayton", 2.0)).margin_section_inv(0, np.nan, [0.5, 0.5])
 
 
 def test_numeric_inverse_width_is_relative():

@@ -160,6 +160,33 @@ def test_log1mexp_regimes():
     assert log1mexp(-1e-300) < -600.0  # ~ log(1e-300)
 
 
+def _two_branch_log1mexp(x):
+    # both branches on every value, one picked by np.where
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        near = x > -np.log(2.0)
+        return np.where(near, np.log(-np.expm1(np.where(near, x, -1.0))),
+                        np.log1p(-np.exp(np.where(near, -1.0, x))))
+
+
+_LN2_ULPS = [-np.log(2.0) + k * np.spacing(np.log(2.0)) for k in range(-4, 5)]
+_LOG1MEXP_VALUES = st.one_of(
+    st.sampled_from([*_LN2_ULPS, -0.0, 0.0, -745.0, -np.inf, np.nan, 0.5, np.inf]),
+    st.floats(-800.0, 0.0), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@given(x=st.one_of(_LOG1MEXP_VALUES,
+                   hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=6),
+                              elements=_LOG1MEXP_VALUES)))
+@example(x=np.array(_LN2_ULPS))
+@example(x=np.array([[-0.0, -745.0], [-np.inf, np.nan], [0.5, _LN2_ULPS[3]]]))
+def test_log1mexp_is_the_two_branch_formula(x):
+    # each branch runs only on its own values, with the same bits, shape and type
+    got, want = log1mexp(x), _two_branch_log1mexp(x)
+    assert type(got) is np.ndarray and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def _decimal_generator(fam, th):
     """(psi, psi_inv) of an AMH, Frank or Joe generator in the current decimal context."""
     one = Decimal(1)
@@ -259,6 +286,32 @@ class TestTilt:
             want = [float((h ** (1 / th) - Decimal(v).ln()) ** th - h) if v > 0 else np.inf
                     for v in u]
         assert_allclose(g.psi_inv(u), want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("g,h", [(generator("amh", 0.87), 30.0), (generator("joe", 2.0), 1.5),
+                                     (generator("frank", 4.0), 0.3),
+                                     (generator("frank", 4.0, 0.6), 0.3)])
+    def test_tilted_inverse_is_zero_at_one(self, g, h):
+        # psi_inv(psi(h)) - h need not cancel; the values below 1 keep that form
+        tg = g.tilt(h)
+        assert tg.psi_inv(1.0) == 0.0
+        u = np.linspace(0.05, 1.0, 20)
+        got = tg.psi_inv(u)
+        assert got[-1] == 0.0
+        if type(g) is not OuterPowerGenerator:
+            want = np.maximum(g.psi_inv(g.psi(h) * u[:-1]) - h, 0.0)
+            assert got[:-1].tobytes() == want.tobytes()
+
+    def test_truncated_margin_at_one_is_the_round_trip(self):
+        # C_t(u, 1) = psi_h(psi_h^-1(u) + psi_h^-1(1)): the tilt here is h = 30
+        g0 = generator("amh", 0.87)
+        tc = truncate_general(ArchimedeanCopula(g0), [g0.psi(15.0)] * 2)
+        g = tc.model.generator
+        u = np.random.default_rng(17).random(200)
+        got = tc.cdf(np.column_stack([u, np.ones_like(u)]))
+        assert got.tobytes() == g.psi(g.psi_inv(u)).tobytes()
+        for g in all_generators():
+            for h in (0.3, 5.0, 80.0, 600.0, 5e-320):
+                assert g.tilt(h).psi_inv(1.0) == 0.0, (g, h)
 
     @pytest.mark.parametrize("fam,theta", [("frank", 4.0), ("frank", 40.0), ("joe", 5.0),
                                            ("amh", 0.7)])

@@ -7,7 +7,9 @@ The first form writes one digest per output to OUT.json, for the ``trunca``
 found on the import path:
 
 * generators: psi, psi_inv, both derivatives and tilted inverses of every
-  family, plain and outer-powered, on fixed grids;
+  family, plain and outer-powered, on fixed grids; ``log1mexp`` on a grid
+  across its branch point -log 2 (as a scalar, 0-d, 1-d and 2-d), and Frank's
+  and Joe's ``log_psi`` across the exponential tail they take past t = 700;
 * a fixed model zoo (every family, outer power, nests, Marshall-Olkin,
   survival and both fixed points): the bytes of each model's
   ``model_to_dict`` spec and of that spec loaded and written again,
@@ -77,6 +79,25 @@ def _generators(tr):
                 out[f"{key}/tilt({h})/psi"] = _array_digest(gh.psi(t))
                 out[f"{key}/tilt({h})/psi_inv"] = _array_digest(gh.psi_inv(u))
                 out[f"{key}/tilt({h})/d2psi"] = _array_digest(gh.psi_deriv(t, 2))
+    return out
+
+
+def _branches(tr):
+    """log1mexp across -log 2, and log_psi across t = 700, where each switches branch."""
+    ln2 = np.log(2.0)
+    x = np.concatenate([[-np.inf, -745.0, -40.0, -2.0, -1.0], -ln2 + np.arange(-8, 9) * np.spacing(ln2),
+                        np.linspace(-0.69, -0.01, 12), [-1e-300, -0.0, 0.0, 0.5, np.inf, np.nan]])
+    out = {"branch/log1mexp": _array_digest(tr.log1mexp(x)),
+           "branch/log1mexp-2d": _array_digest(tr.log1mexp(x.reshape(4, -1).T)),
+           "branch/log1mexp-scalars": _array_digest([tr.log1mexp(v) for v in x]),
+           "branch/log1mexp-0d": _array_digest([tr.log1mexp(np.asarray(v)) for v in x])}
+    t = np.concatenate([np.linspace(0.0, 690.0, 24), np.linspace(699.0, 701.0, 9), [720.0, 745.0, 800.0, 1e4]])
+    for fam, theta in (("frank", 4.0), ("frank", 30.0), ("joe", 2.0), ("joe", 1.0)):
+        g = tr.generator(fam, theta)
+        key = f"branch/{fam}({theta})/log_psi"
+        out[key] = _array_digest(g.log_psi(t))
+        out[f"{key}-tail"] = _array_digest(g.log_psi(t[t > 690.0]))
+        out[f"{key}-scalars"] = _array_digest([g.log_psi(v) for v in t])
     return out
 
 
@@ -285,7 +306,7 @@ def _cli(tr):
 def digests():
     import trunca as tr
 
-    return {**_generators(tr), **_models(tr), **_edges(tr), **_cli(tr)}
+    return {**_generators(tr), **_branches(tr), **_models(tr), **_edges(tr), **_cli(tr)}
 
 
 def diff(a_path, b_path):
