@@ -31,7 +31,6 @@ from .copulas import (
     ModelTruncation,
     MOTruncation,
     NestedArchimedeanCopula,
-    NestedTruncation,
     SurvivalCopula,
     TruncatedCopula,
     TruncationPoint,

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .copulas import ArchimedeanCopula, TruncationPoint
+from .copulas import ArchimedeanCopula, truncate_general
 from .frailty import rng_stream
 from .generators import _check_range
 from .sampling import _sorted_runs
@@ -142,34 +142,35 @@ def tail_dep_exchangeable_equal_t(model, t):
 def kendall_dist_truncated(g, t, u):
     """K(u) = P(W <= u) for W = C_t(U_t), truncated-Archimedean Kendall law.
 
-    K(u) = sum_{k<d} (x - h)^k (-1)^k psi^(k)(x) / (k! C(t)) with
-    x = psi_inv(C(t) u), h = psi_inv(C(t)) and d = len(t).  Needs psi'' and
-    is therefore limited to d in {2, 3}; t = 1 recovers the classical
-    Archimedean Kendall distribution.
+    The truncation is the Archimedean copula of the tilted generator psi_h
+    (``truncate_general(ArchimedeanCopula(g, d), t).model.generator``), so K
+    is psi_h's classical Kendall law,
+
+        K(u) = sum_{k<d} (-x)^k psi_h^(k)(x) / k!,   x = psi_h_inv(u),
+
+    whose k = 0 term psi_h(x) is u itself.  Needs psi_h'' and is therefore
+    limited to d = len(t) in {2, 3}; t = 1 is g's own law.  The other terms
+    are summed where 0 < x < inf: they vanish at x = 0, also where psi_h^(k)
+    is infinite there (Gumbel and Joe at t = 1, u = 1).  Where x overflows
+    (Clayton(2) below u ~ 1e-154) K is its lower bound u.
     """
     d = int(np.size(getattr(t, "t", t)))
     if d not in (2, 3):
         raise ValueError("Kendall distribution implemented for d in {2, 3}")
-    c = TruncationPoint.make(ArchimedeanCopula(g, d), t).c_of_t
-    h = float(g.psi_inv(c))
+    gh = truncate_general(ArchimedeanCopula(g, d), t).model.generator
 
     u_in = np.asarray(u, dtype=float)
     uu = np.atleast_1d(u_in)
     _check_range(uu, 0.0, 1.0, "u must lie in [0, 1]")
-    out = np.zeros(uu.shape)
-    pos = uu > 0
-    if np.any(pos):
-        x = np.asarray(g.psi_inv(c * uu[pos]))
-        total = np.asarray(g.psi(x)) / c
-        # the terms vanish at x = h, also where psi^(k)(h) is infinite
-        # (Gumbel and Joe at t = 1, u = 1, where h = 0)
-        inner = x > h
-        xi = x[inner]
-        diff = xi - h
-        total[inner] = total[inner] - diff * np.asarray(g.psi_deriv(xi, 1)) / c
-        if d == 3:
-            total[inner] = total[inner] + 0.5 * diff**2 * np.asarray(g.psi_deriv(xi, 2)) / c
-        out[pos] = np.clip(total, 0.0, 1.0)
+    out = uu.copy()
+    x = np.asarray(gh.psi_inv(uu))
+    inner = (x > 0.0) & (x < np.inf)
+    xi = x[inner]
+    # -x psi_h'(x) on the log scale, where psi_h' underflows long before x overflows
+    terms = np.exp(np.log(xi) + np.asarray(gh.log_neg_psi_deriv(xi)))
+    if d == 3:
+        terms += 0.5 * xi * (xi * np.asarray(gh.psi_deriv(xi, 2)))
+    out[inner] = np.minimum(uu[inner] + terms, 1.0)
     return float(out[0]) if u_in.ndim == 0 else out
 
 

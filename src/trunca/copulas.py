@@ -69,7 +69,6 @@ __all__ = [
     "TruncationPoint",
     "TruncatedCopula",
     "ModelTruncation",
-    "NestedTruncation",
     "MOTruncation",
     "GeneralTruncation",
     "truncate_general",
@@ -436,10 +435,34 @@ class NestedArchimedeanCopula(CopulaModel):
 
     def _truncate(self, tp):
         root, c = self.root, tp.c_of_t
-        sectors = [(root._truncated_sector(g, ds, c, cs), ds)
-                   for (g, ds), cs in zip(self.sectors, self._sector_tops(tp.t))]
-        model = NestedArchimedeanCopula(root.tilt(root._psi_inv(c)), sectors)
-        return NestedTruncation(self, tp, model, *root._nest_truncation)
+        # the inverse kernels meet C(t) = 1 or C_s(t_s) = 1, where Joe's takes log1p(-1) = -inf
+        with np.errstate(divide="ignore"):
+            sectors = [(root._truncated_sector(g, ds, c, cs), ds)
+                       for (g, ds), cs in zip(self.sectors, self._sector_tops(tp.t))]
+            model = NestedArchimedeanCopula(root.tilt(root._psi_inv(c)), sectors)
+        return ModelTruncation(self, tp, model, *root._nest_truncation)
+
+    def biv_margin(self, s1, j1, s2, j2, u1, u2):
+        """Bivariate margin of coordinates (s1, j1) and (s2, j2): the CDF at 1 elsewhere.
+
+        Cross-sector pairs are Archimedean in the root, same-sector pairs in
+        their sector generator.  Of a truncated nest (``tc.model``) these are
+        the tilted root and the truncated sector generators, so a same-sector
+        margin is in general *not* the truncation of the pair's own margin.
+        ``u1`` and ``u2`` broadcast together and must lie in [0, 1], as the
+        points of ``cdf`` do; scalars give a float.
+        """
+        for s, j in ((s1, j1), (s2, j2)):
+            if not (0 <= s < len(self.sectors) and 0 <= j < self.sectors[s][1]):
+                raise IndexError(f"invalid sector/coordinate index ({s}, {j})")
+        if (s1, j1) == (s2, j2):
+            raise ValueError("margin requires two distinct coordinates")
+        u1, u2 = np.broadcast_arrays(np.asarray(u1, dtype=float), np.asarray(u2, dtype=float))
+        pair = _unit_points(np.column_stack([u1.ravel(), u2.ravel()]), 2)[0]
+        pts = np.ones((pair.shape[0], self.d))
+        pts[:, [self.slices[s1].start + j1, self.slices[s2].start + j2]] = pair
+        out = self._at(pts).reshape(u1.shape)
+        return float(out) if out.ndim == 0 else out
 
     def _sample(self, n, rng):
         return self._propose(n, np.ones(self.d), rng)
@@ -663,37 +686,6 @@ class ModelTruncation(TruncatedCopula):
 
     def _propose(self, n, t, rng):
         return self.model._propose(n, t, rng)
-
-
-class NestedTruncation(ModelTruncation):
-    """Truncation of a nest: the root tilted by psi0_inv(C(t)) over the sectors the root
-    truncates them to (``_truncated_sector``), with the root's form and route
-    (``_nest_truncation``): under a dependent root one ``TruncatedSectorGenerator`` per
-    sector, "nested" on the oracle route; under independence the product of the sectors'
-    own truncations, "product" on the "product" route.
-    """
-
-    def biv_margin(self, s1, j1, s2, j2, u1, u2):
-        """Bivariate margin of coordinates (s1, j1) and (s2, j2): the CDF at 1 elsewhere.
-
-        Cross-sector pairs are Archimedean in the tilted root
-        (``model.root``); same-sector pairs are Archimedean in their truncated
-        sector generator, and in general *not* the truncation of the pair's
-        own margin.  ``u1`` and ``u2`` broadcast together and must lie in
-        [0, 1], as the points of ``cdf`` do; scalars give a float.
-        """
-        m = self.source
-        for s, j in ((s1, j1), (s2, j2)):
-            if not (0 <= s < len(m.sectors) and 0 <= j < m.sectors[s][1]):
-                raise IndexError(f"invalid sector/coordinate index ({s}, {j})")
-        if (s1, j1) == (s2, j2):
-            raise ValueError("margin requires two distinct coordinates")
-        u1, u2 = np.broadcast_arrays(np.asarray(u1, dtype=float), np.asarray(u2, dtype=float))
-        pair = _unit_points(np.column_stack([u1.ravel(), u2.ravel()]), 2)[0]
-        pts = np.ones((pair.shape[0], self.d))
-        pts[:, [m.slices[s1].start + j1, m.slices[s2].start + j2]] = pair
-        out = self._at(pts).reshape(u1.shape)
-        return float(out) if out.ndim == 0 else out
 
 
 class MOTruncation(TruncatedCopula):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .copulas import SamplingError, TruncatedCopula, TruncationPoint, _inside  # noqa: F401
+from .copulas import SamplingError, TruncatedCopula, TruncationPoint
 from .frailty import sample_frailty
 from .generators import _check_range
 

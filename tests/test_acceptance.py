@@ -260,7 +260,7 @@ def test_c07_nested_truncation():
     rng = np.random.default_rng(107)
     u1 = rng.random(400)
     u2 = rng.random(400)
-    cross = tc.biv_margin(0, 0, 1, 1, u1, u2)
+    cross = tc.model.biv_margin(0, 0, 1, 1, u1, u2)
     tilted = tc.model.root
     direct = np.asarray(tilted.psi(np.asarray(tilted.psi_inv(u1)) + np.asarray(tilted.psi_inv(u2))))
     assert np.max(np.abs(cross - direct)) <= 1e-10

@@ -213,6 +213,30 @@ class TestKendallDistribution:
             with pytest.raises(ValueError, match="u must lie in"):
                 kendall_dist_truncated(g, [0.5, 0.5], u)
 
+    def test_tiny_u_is_finite(self):
+        # psi_h_inv(u) overflows below u ~ 1e-154: K stays in [u, 1], without a warning
+        g = generator("clayton", 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for u in (1e-300, 5e-324):
+                k = kendall_dist_truncated(g, [0.5, 0.5], u)
+                assert np.isfinite(k) and u <= k <= 1.0
+            k = kendall_dist_truncated(g, [0.5, 0.5], 1e-100)
+        assert k == pytest.approx(1.5e-100, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("alpha", [None, 0.6])
+    @pytest.mark.parametrize("family, theta", [("independence", None), ("clayton", 2.0),
+                                               ("amh", 0.7), ("frank", 4.0), ("gumbel", 2.0),
+                                               ("joe", 2.0)])
+    def test_is_the_tilted_generators_classical_law(self, family, theta, alpha, d):
+        g = generator(family, theta, alpha)
+        t = np.random.default_rng(d).uniform(0.2, 0.9, d)
+        tc = truncate_general(ArchimedeanCopula(g, d), t)
+        u = np.concatenate([[0.0, 1e-12], np.linspace(0.01, 1.0, 100)])
+        classical = kendall_dist_truncated(tc.model.generator, np.ones(d), u)
+        assert np.max(np.abs(kendall_dist_truncated(g, t, u) - classical)) <= 2e-15
+
     def test_classical_limit_d2(self):
         g = generator("gumbel", 2.0)
         u = np.linspace(0.01, 0.99, 25)

@@ -19,7 +19,6 @@ from trunca import (
     ModelTruncation,
     MOTruncation,
     NestedArchimedeanCopula,
-    NestedTruncation,
     SampleMatrix,
     SamplingError,
     TruncationPoint,
@@ -461,7 +460,7 @@ class TestNested:
         )
         t = np.array([0.5, 0.6, 0.9])
         tc = truncate_general(m, t)
-        assert type(tc) is NestedTruncation and (tc.form, tc.route) == ("product", "product")
+        assert type(tc) is ModelTruncation and (tc.form, tc.route) == ("product", "product")
         block = truncate_general(ArchimedeanCopula(generator("clayton", 2.0), 2), t[:2])
         rng = np.random.default_rng(12)
         u = rng.random((200, 3))
@@ -479,14 +478,28 @@ class TestNested:
         flat = ArchimedeanCopula(generator("independence"), 3)
         assert np.array_equal(flat.cdf(u), IndependenceCopula(3).cdf(u))
 
+    def test_sector_threshold_at_one(self):
+        # C_s(t_s) = 1 takes Joe's inverse kernel to log1p(-1) = -inf: no floating-point warning
+        g = generator("joe", 2.0)
+        m = NestedArchimedeanCopula(g, [(g, 1), (generator("joe", 3.0), 2)])
+        u = np.random.default_rng(17).random((50, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at_one = truncate_general(m, [1.0, 1.0, 1.0]).cdf(u)
+            tc = truncate_general(m, [0.5, 1.0, 1.0])
+            got = tc.cdf(u)
+        assert np.max(np.abs(at_one - m.cdf(u))) <= 1e-12
+        ref = truncate_general(m, [0.5, 1.0, 1.0], method="bisect").cdf(u)
+        assert np.max(np.abs(got - ref)) <= 1e-10
+
     def test_cross_sector_margin_is_tilted_root(self):
         m, t = self.make()
         tc = truncate_general(m, t)
-        assert isinstance(tc, NestedTruncation)
+        assert isinstance(tc, ModelTruncation)
         rng = np.random.default_rng(13)
         u1 = rng.random(150)
         u2 = rng.random(150)
-        got = tc.biv_margin(0, 0, 1, 1, u1, u2)
+        got = tc.model.biv_margin(0, 0, 1, 1, u1, u2)
         pts = np.ones((150, 3))
         pts[:, 0] = u1
         pts[:, 2] = u2
@@ -496,7 +509,7 @@ class TestNested:
         m, t = self.make()
         tc = truncate_general(m, t)
         u2 = np.linspace(0.05, 0.95, 10)
-        got = tc.biv_margin(0, 0, 1, 0, np.ones(10), u2)
+        got = tc.model.biv_margin(0, 0, 1, 0, np.ones(10), u2)
         assert_allclose(got, u2, atol=1e-12)
 
     def test_same_sector_margin_not_pair_truncation(self):
@@ -504,7 +517,7 @@ class TestNested:
         tc = truncate_general(m, t)
         u = np.linspace(0.1, 0.9, 12)
         U1, U2 = np.meshgrid(u, u)
-        same = tc.biv_margin(1, 0, 1, 1, U1.ravel(), U2.ravel())
+        same = tc.model.biv_margin(1, 0, 1, 1, U1.ravel(), U2.ravel())
         pair = truncate_general(ArchimedeanCopula(generator("clayton", 6.0), 2), t[1:])
         pv = np.atleast_1d(pair.cdf(np.column_stack([U1.ravel(), U2.ravel()])))
         assert np.max(np.abs(same - pv)) > 1e-6
@@ -513,19 +526,19 @@ class TestNested:
         m, t = self.make()
         tc = truncate_general(m, t)
         with pytest.raises(IndexError):
-            tc.biv_margin(0, 1, 1, 0, 0.5, 0.5)
+            tc.model.biv_margin(0, 1, 1, 0, 0.5, 0.5)
         with pytest.raises(ValueError):
-            tc.biv_margin(1, 0, 1, 0, 0.5, 0.5)
+            tc.model.biv_margin(1, 0, 1, 0, 0.5, 0.5)
 
     def test_margin_of_scalars_is_a_float(self):
         m, t = self.make()
         tc = truncate_general(m, t)
         for s1, j1, s2, j2 in ((0, 0, 1, 0), (1, 0, 1, 1)):
-            got = tc.biv_margin(s1, j1, s2, j2, 0.3, 0.5)
+            got = tc.model.biv_margin(s1, j1, s2, j2, 0.3, 0.5)
             assert type(got) is float
-            assert got == tc.biv_margin(s1, j1, s2, j2, [0.3], [0.5])[0]
+            assert got == tc.model.biv_margin(s1, j1, s2, j2, [0.3], [0.5])[0]
             # u1 and u2 broadcast together
-            grid = tc.biv_margin(s1, j1, s2, j2, np.full((3, 4), 0.3), 0.5)
+            grid = tc.model.biv_margin(s1, j1, s2, j2, np.full((3, 4), 0.3), 0.5)
             assert grid.shape == (3, 4) and np.all(grid == got)
 
     def test_margin_checks_its_points(self):
@@ -534,12 +547,12 @@ class TestNested:
         for s1, j1, s2, j2 in ((0, 0, 1, 0), (1, 0, 1, 1)):
             for bad in (np.nan, 1.5, -0.1, 1.0 + 1e-9):
                 with pytest.raises(ValueError, match="unit cube"):
-                    tc.biv_margin(s1, j1, s2, j2, bad, 0.5)
+                    tc.model.biv_margin(s1, j1, s2, j2, bad, 0.5)
                 with pytest.raises(ValueError, match="unit cube"):
-                    tc.biv_margin(s1, j1, s2, j2, [0.2, 0.4], [0.5, bad])
+                    tc.model.biv_margin(s1, j1, s2, j2, [0.2, 0.4], [0.5, bad])
             # within the edge tolerance a point is clipped into the cube, as cdf does
-            edge = tc.biv_margin(s1, j1, s2, j2, [1.0 + 1e-13, -1e-13], [0.5, 0.5])
-            assert np.array_equal(edge, tc.biv_margin(s1, j1, s2, j2, [1.0, 0.0], [0.5, 0.5]))
+            edge = tc.model.biv_margin(s1, j1, s2, j2, [1.0 + 1e-13, -1e-13], [0.5, 0.5])
+            assert np.array_equal(edge, tc.model.biv_margin(s1, j1, s2, j2, [1.0, 0.0], [0.5, 0.5]))
 
     def test_outer_power_stack_matches_explicit_form(self):
         base = generator("clayton", 1.2)
@@ -619,7 +632,7 @@ def test_truncated_nest_is_a_nest(m, data, seed):
     tc = truncate_general(m, t)
     assert isinstance(tc.model, NestedArchimedeanCopula)
     independent = m.root.family == "independence"
-    assert type(tc) is NestedTruncation
+    assert type(tc) is ModelTruncation
     assert (tc.form, tc.route) == (("product", "product") if independent else ("nested", "oracle"))
     rng = np.random.default_rng(seed)
     pts = rng.random((20, m.d))
@@ -636,18 +649,24 @@ def test_truncated_nest_is_a_nest(m, data, seed):
     for s1, (g, ds) in enumerate(tc.model.sectors):
         if ds >= 2:
             same = ArchimedeanCopula(g).cdf(pair)
-            assert np.max(np.abs(tc.biv_margin(s1, 0, s1, 1, u1, u2) - same)) <= 1e-12
+            assert np.max(np.abs(tc.model.biv_margin(s1, 0, s1, 1, u1, u2) - same)) <= 1e-12
+            # the untruncated nest's margin, in its own sector generator
+            same = ArchimedeanCopula(m.sectors[s1][0]).cdf(pair)
+            assert np.max(np.abs(m.biv_margin(s1, 0, s1, 1, u1, u2) - same)) <= 1e-12
     if len(m.sectors) >= 2:
+        cross = ArchimedeanCopula(m.root).cdf(pair)
+        assert np.max(np.abs(m.biv_margin(0, 0, 1, 0, u1, u2) - cross)) <= 1e-12
         cross = u1 * u2 if independent else ArchimedeanCopula(tc.model.root).cdf(pair)
         # a few ulps under independence: each sector margin is the round trip psi_h(psi_h^-1(u))
         tol = 5e-15 if independent else 1e-12
-        assert np.max(np.abs(tc.biv_margin(0, 0, 1, 0, u1, u2) - cross)) <= tol
+        assert np.max(np.abs(tc.model.biv_margin(0, 0, 1, 0, u1, u2) - cross)) <= tol
     # exact 0s and 1s pass through the kernels without a floating-point warning
     edges = np.array(list(product([0.0, 1.0, 0.5], repeat=m.d)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         vals = tc.cdf(edges)
-        tc.biv_margin(0, 0, len(m.sectors) - 1, m.sectors[-1][1] - 1, edges[:, 0], edges[:, 1])
+        tc.model.biv_margin(0, 0, len(m.sectors) - 1, m.sectors[-1][1] - 1,
+                            edges[:, 0], edges[:, 1])
     assert np.all((vals >= 0.0) & (vals <= 1.0))
     assert np.all(vals[np.any(edges == 0.0, axis=1)] == 0.0)
 

@@ -30,7 +30,8 @@ from trunca import (
     write_csv,
     write_meta,
 )
-from trunca.sampling import _CSV_BLOCK_ROWS, _inside
+from trunca.copulas import _inside
+from trunca.sampling import _CSV_BLOCK_ROWS
 
 
 def tau_se(n):

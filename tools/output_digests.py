@@ -21,6 +21,8 @@ found on the import path:
   truncations (a dependent or an independence root) the bivariate margins
   of a cross-sector and a same-sector pair, and Marshall-Olkin singular curves
   at a threshold of either case;
+* the truncated Kendall law of six families, plain and outer-powered, at
+  d = 2 and 3, on a u grid down to the least subnormal;
 * float64 edges: every family's tilted inverse at tilts 600 and 5e-320 with
   u down to 1e-300, and truncations whose tilt is huge (Frank at t = 1e-30)
   or subnormal (Gumbel(20) and an outer power with alpha 0.05 at t near 1);
@@ -169,6 +171,22 @@ def _edges(tr):
     return out
 
 
+def _kendall(tr):
+    """K(u) of each family, plain and outer-powered (alpha 0.6), truncated at d = 2 and 3."""
+    u = np.concatenate([[0.0, 5e-324, 1e-300, 1e-100, 1e-30, 1e-12], np.linspace(0.01, 0.99, 25),
+                        [1.0]])
+    out = {}
+    for fam, theta in _FAMS:
+        if (fam, theta) == ("frank", 30.0):
+            continue
+        for alpha in (None, 0.6):
+            g = tr.generator(fam, theta, alpha)
+            for t in ([0.5, 0.4], [0.6, 0.5, 0.7]):
+                key = f"kendall/{fam}({theta})/op({alpha})/d{len(t)}"
+                out[key] = _array_digest(tr.kendall_dist_truncated(g, t, u))
+    return out
+
+
 def _models(tr):
     out = {}
     for k, (name, (m, t, s)) in enumerate(_model_zoo(tr).items()):
@@ -206,8 +224,9 @@ def _models(tr):
             last = len(m.sectors) - 1
             pair = next(i for i, (_, ds) in enumerate(m.sectors) if ds >= 2)
             u1, u2 = grid[:, 0], grid[:, 1]
-            out[f"{key}/biv-margin-cross"] = _array_digest(tc.biv_margin(0, 0, last, 0, u1, u2))
-            out[f"{key}/biv-margin-same"] = _array_digest(tc.biv_margin(pair, 0, pair, 1, u1, u2))
+            margin = tc.model.biv_margin
+            out[f"{key}/biv-margin-cross"] = _array_digest(margin(0, 0, last, 0, u1, u2))
+            out[f"{key}/biv-margin-same"] = _array_digest(margin(pair, 0, pair, 1, u1, u2))
         y = tc.point.c_of_t * np.linspace(0.0, 1.0, 9)
         for j in range(m.d):
             out[f"{key}/section-inv{j}"] = _array_digest(m.margin_section_inv(j, y, tc.point.t))
@@ -306,7 +325,8 @@ def _cli(tr):
 def digests():
     import trunca as tr
 
-    return {**_generators(tr), **_branches(tr), **_models(tr), **_edges(tr), **_cli(tr)}
+    return {**_generators(tr), **_branches(tr), **_models(tr), **_edges(tr), **_kendall(tr),
+            **_cli(tr)}
 
 
 def diff(a_path, b_path):
