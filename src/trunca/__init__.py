@@ -29,7 +29,6 @@ from .copulas import (
     IndependenceCopula,
     MarshallOlkinCopula,
     ModelTruncation,
-    MOTruncation,
     NestedArchimedeanCopula,
     SurvivalCopula,
     TruncatedCopula,

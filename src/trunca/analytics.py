@@ -178,7 +178,7 @@ def empirical_tail_dep(data, q):
     """Empirical tail-dependence estimates at threshold q from bivariate data.
 
     lambda_l = C_n(q, q)/q and lambda_u = (1 - 2(1-q) + C_n(1-q, 1-q))/q with
-    the empirical copula C_n of the rows (assumed copula scale).  Standard
+    the empirical copula C_n of the rows (copula scale, checked).  Standard
     errors come from a bootstrap with ``_N_BOOT`` resamples, seeded by
     ``_BOOT_SEED`` so repeated calls agree; since both statistics are means
     of row indicators, resampling reduces to exact binomial draws.
@@ -189,6 +189,7 @@ def empirical_tail_dep(data, q):
     n = X.shape[0]
     if n < 1000:
         raise ValueError("need at least 1000 rows for tail estimation")
+    _check_range(X, 0.0, 1.0, "tail estimation rows must lie in [0, 1]")
     q = float(q)
     if not 0.0 < q < 0.5:
         raise ValueError("threshold q must lie in (0, 0.5)")

@@ -8,31 +8,32 @@ coordinate section,
 
 and is exact whenever the sections invert analytically.  The construction
 is written once, on ``TruncatedCopula``; each model class chooses its own
-truncated form in ``_truncate`` and its own section inverse
-(``_section_inv_analytic``, if it has one): Archimedean models stay
-Archimedean with a tilted generator (tilt psi_inv(C(t))), so their truncation
-is again an ``ArchimedeanCopula``; nested models stay nested, the root tilted
-by psi0_inv(C(t)) over the sectors the root truncates them to (no tilt changes
-an independence root, which keeps the product of the sectors' own
-truncations), bivariate Marshall-Olkin models are the
-construction with their exact section inverses, plus the image of their
-singular curve, and independence and comonotonicity are fixed points, sharing
-one base.  ``GeneralTruncation`` is the construction with every section
-inverted numerically, the reference every closed form is checked against and
-the form of everything else (survival wrappers in particular): one table of
-section values at up to 256 nodes brackets every value, and ITP narrows each
-bracket to a width relative to t_j, about 4-6 section evaluations per value on
-smooth sections and never more than two steps beyond bisecting its cell.  Each
-truncation names its ``form`` and sampling ``route`` (see
-``sampling.sample_truncated``); a nest's root generator names its nest's.
+truncated form in ``_truncate`` and inverts its own sections in
+``_section_inv`` (analytically where it can, by ITP otherwise): Archimedean
+models stay Archimedean with a tilted generator (tilt psi_inv(C(t))), so
+their truncation is again an ``ArchimedeanCopula``; nested models stay
+nested, the root tilted by psi0_inv(C(t)) over the sectors the root
+truncates them to (no tilt changes an independence root, which keeps the
+product of the sectors' own truncations), bivariate Marshall-Olkin models
+are the construction with their exact section inverses (the model maps its
+singular curve into each truncation), and independence and comonotonicity
+are fixed points, sharing one base.  ``GeneralTruncation`` is the
+construction with every section inverted numerically, the reference every
+closed form is checked against and the form of everything else (survival
+wrappers in particular): one table of section values at up to 256 nodes
+brackets every value, and ITP narrows each bracket to a width relative to
+t_j, about 4-6 section evaluations per value on smooth sections and never
+more than two steps beyond bisecting its cell.  Each truncation names its
+``form`` and sampling ``route`` (see ``sampling.sample_truncated``); a nest's
+root generator names its nest's.
 
 Every Archimedean CDF is its generator's sum ``psi(sum_j psi_inv(u_j))``
 (``Generator._psi_sum``); a nest applies the root's sum to the sector values
 C_s(u_s), so an independence root multiplies them exactly.
 
 ``cdf`` checks its points once; library code that holds points already in
-the unit cube evaluates a model by ``_at``, and generators by their ``_``
-kernels.
+the unit cube evaluates a model by ``_cdf`` (a truncation's clips to [0, 1]),
+and generators by their ``_`` kernels.
 
 A truncated copula is itself a ``CopulaModel``, and truncations compose:
 truncating C_t at s is truncating C at x(s), x_j(s) = sec_j_inv(C(t) s_j),
@@ -69,7 +70,6 @@ __all__ = [
     "TruncationPoint",
     "TruncatedCopula",
     "ModelTruncation",
-    "MOTruncation",
     "GeneralTruncation",
     "truncate_general",
     "truncated_cdf",
@@ -102,14 +102,14 @@ def _inside(u, t):
     return ok
 
 
-def _dimension(d):
-    """A dimension as an int: 3 and 3.0 pass; 2.9, "3" and True raise ValueError."""
+def _whole(x, what="a dimension"):
+    """x as an int: 3 and 3.0 pass; 2.9, "3" and True raise ValueError."""
     try:
-        if int(d) == d and type(d) not in (bool, np.bool_):
-            return int(d)
+        if int(x) == x and type(x) not in (bool, np.bool_):
+            return int(x)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ValueError(f"a dimension must be a whole number, got {d!r}")
+    raise ValueError(f"{what} must be a whole number, got {x!r}")
 
 
 class CopulaModel:
@@ -135,28 +135,26 @@ class CopulaModel:
         u = self._sample(n, rng)
         return u[_inside(u, t)]
 
-    def _at(self, pts):
-        """C at points already in the unit cube: what ``cdf`` returns for them."""
-        return self._cdf(pts)
-
     def cdf(self, u):
         """C(u) for a point (d,) or a stack of points (n, d)."""
         pts, squeeze = _unit_points(u, self.d)
-        out = self._at(pts)
+        out = self._cdf(pts)
         return float(out[0]) if squeeze else out
 
     def margin_section(self, j, x, t):
         """The section x -> C(t_1, ..., x at slot j, ..., t_d), for 0 <= j < d."""
-        if not 0 <= j < self.d:
-            raise IndexError(f"invalid coordinate index {j} for dimension {self.d}")
+        _check_coordinate(j, self.d)
         t = _unit_points(t, self.d)[0][0]
         x = np.asarray(x, dtype=float)
         xs = _unit_points(x.reshape(-1, 1), 1)[0][:, 0]
         out = _section(self, np.tile(t, (x.size, 1)), j, xs).reshape(x.shape)
         return float(out) if x.ndim == 0 else out
 
-    def _section_inv_analytic(self, j, y, t):
-        return None
+    def _section_inv(self, j, y, t, top):
+        """Section inverses at values y in [0, top], top = C(t): ``_itp_section_inv``
+        unless the class inverts its sections analytically.  May leave [0, t_j]
+        by rounding; callers clip."""
+        return _itp_section_inv(self, j, y, t, top)
 
     def _truncate(self, tp):
         """The truncated copula at a validated TruncationPoint."""
@@ -168,17 +166,24 @@ class CopulaModel:
         The class's analytic inverse where it has one; otherwise the left end
         of an ITP bracket no wider than ``BISECT_WIDTH * t_j``.
         """
+        _check_coordinate(j, self.d)
         t = _unit_points(t, self.d)[0][0]
         y = np.asarray(y, dtype=float)
         y_arr = np.atleast_1d(y)
-        top = float(self.margin_section(j, t[j], t))  # checks j
+        top = float(self.margin_section(j, t[j], t))
         _check_range(y_arr, -_EDGE_TOL, top * (1.0 + 1e-9) + _EDGE_TOL,
                      "section inverse argument outside [0, C(t)]")
-        out = _section_inv_auto(self, j, np.clip(y_arr, 0.0, top), t, top)
+        out = np.clip(self._section_inv(j, np.clip(y_arr, 0.0, top), t, top), 0.0, t[j])
         return float(out[0]) if y.ndim == 0 else out
 
     def __repr__(self):
         return f"{type(self).__name__}(d={self.d})"
+
+
+def _check_coordinate(j, d):
+    """0 <= j < d, or IndexError: a negative index is not counted from the end."""
+    if not 0 <= j < d:
+        raise IndexError(f"invalid coordinate index {j} for dimension {d}")
 
 
 def _section(model, block, j, x):
@@ -190,16 +195,7 @@ def _section(model, block, j, x):
     ``margin_section`` reports.
     """
     block[:, j] = x
-    return model._at(block)
-
-
-def _section_inv_auto(model, j, y, t, top):
-    """Section inverses in [0, t_j] at values y in [0, top], top = C(t): the
-    model's analytic inverse where it has one, else ``_itp_section_inv``."""
-    out = model._section_inv_analytic(j, y, t)
-    if out is None:
-        out = _itp_section_inv(model, j, y, t, top)
-    return np.clip(out, 0.0, t[j])
+    return model._cdf(block)
 
 
 def _itp_section_inv(model, j, y, t, top):
@@ -283,7 +279,7 @@ class _FixedPoint(CopulaModel):
     exchangeable = True
 
     def __init__(self, d=2):
-        d = _dimension(d)
+        d = _whole(d)
         if d < 2:
             raise ValueError("copula dimension must be at least 2")
         self.d = d
@@ -306,7 +302,7 @@ class IndependenceCopula(_FixedPoint):
     def _tail_dep(self):
         return 0.0, 0.0
 
-    def _section_inv_analytic(self, j, y, t):
+    def _section_inv(self, j, y, t, top):
         rest = float(np.prod(np.delete(t, j)))
         return y / rest
 
@@ -326,7 +322,7 @@ class ComonotoneCopula(_FixedPoint):
     def _tail_dep(self):
         return 1.0, 1.0
 
-    def _section_inv_analytic(self, j, y, t):
+    def _section_inv(self, j, y, t, top):
         return y.copy()
 
 
@@ -337,7 +333,7 @@ class ArchimedeanCopula(CopulaModel):
     exchangeable = True
 
     def __init__(self, generator, d=2):
-        d = _dimension(d)
+        d = _whole(d)
         if d < 2:
             raise ValueError("copula dimension must be at least 2")
         if not isinstance(generator, Generator):
@@ -348,7 +344,7 @@ class ArchimedeanCopula(CopulaModel):
     def _cdf(self, pts):
         return self.generator._psi_sum(pts)
 
-    def _section_inv_analytic(self, j, y, t):
+    def _section_inv(self, j, y, t, top):
         g = self.generator
         return _shift(g, y, float(np.asarray(g.psi_inv(np.delete(t, j))).sum()))
 
@@ -385,7 +381,7 @@ class NestedArchimedeanCopula(CopulaModel):
     kind = "nested_archimedean"
 
     def __init__(self, root, sectors):
-        sectors = [(g, _dimension(ds)) for g, ds in sectors]
+        sectors = [(g, _whole(ds)) for g, ds in sectors]
         if not sectors:
             raise ValueError("need at least one sector")
         if any(ds < 1 for _, ds in sectors):
@@ -421,7 +417,7 @@ class NestedArchimedeanCopula(CopulaModel):
         sectors = [self._sector_cdf(s, pts[:, sl]) for s, sl in enumerate(self.slices)]
         return self.root._psi_sum(np.column_stack(sectors))
 
-    def _section_inv_analytic(self, j, y, t):
+    def _section_inv(self, j, y, t, top):
         s = next(s for s, sl in enumerate(self.slices) if j < sl.stop)
         g = self.sectors[s][0]
         root = self.root
@@ -461,7 +457,7 @@ class NestedArchimedeanCopula(CopulaModel):
         pair = _unit_points(np.column_stack([u1.ravel(), u2.ravel()]), 2)[0]
         pts = np.ones((pair.shape[0], self.d))
         pts[:, [self.slices[s1].start + j1, self.slices[s2].start + j2]] = pair
-        out = self._at(pts).reshape(u1.shape)
+        out = self._cdf(pts).reshape(u1.shape)
         return float(out) if out.ndim == 0 else out
 
     def _sample(self, n, rng):
@@ -510,7 +506,7 @@ class MarshallOlkinCopula(CopulaModel):
         u2 = pts[:, 1]
         return np.minimum(u1 ** (1.0 - self.alpha1) * u2, u1 * u2 ** (1.0 - self.alpha2))
 
-    def _section_inv_analytic(self, j, y, t):
+    def _section_inv(self, j, y, t, top):
         aj = self.alpha1 if j == 0 else self.alpha2
         am = self.alpha2 if j == 0 else self.alpha1
         tm = float(t[1 - j])
@@ -524,7 +520,23 @@ class MarshallOlkinCopula(CopulaModel):
         return self.alpha1 == self.alpha2
 
     def _truncate(self, tp):
-        return MOTruncation(self, tp)
+        return TruncatedCopula(self, tp, "marshall-olkin", "oracle")
+
+    def singular_curve(self, u1, t):
+        """u2 on the singular curve x1^a1 = x2^a2 in the truncation at t, at u1 in
+        [0, 1]: the image of the model's curve, nan where it has left the square
+        (it ends inside when t2^a2 < t1^a1).  At t = (1, 1) this is the model's
+        own curve u2 = u1^(a1/a2).  A scalar u1 gives a float."""
+        u1 = np.asarray(u1, dtype=float)
+        u = _unit_points(u1.reshape(-1, 1), 1)[0][:, 0]
+        tp = TruncationPoint.make(self, t)
+        t, c = tp.t, tp.c_of_t
+        x1 = np.clip(self._section_inv(0, c * u, t, c), 0.0, t[0])
+        x2 = x1 ** (self.alpha1 / self.alpha2)
+        u2 = self._cdf(np.column_stack([np.full_like(x2, t[0]), np.minimum(x2, t[1])])) / c
+        # the slack keeps the end point where x2 rounds just above t2
+        out = np.where(x2 <= t[1] * (1.0 + _EDGE_TOL), u2, np.nan).reshape(u1.shape)
+        return float(out) if u1.ndim == 0 else out
 
     def _tail_dep(self):
         return 0.0, min(self.alpha1, self.alpha2)
@@ -567,7 +579,7 @@ class SurvivalCopula(CopulaModel):
         return self.inner.exchangeable
 
     def _cdf(self, pts):
-        v = self.inner._at(1.0 - pts)
+        v = self.inner._cdf(1.0 - pts)
         return np.clip(_columnwise(np.add, pts) - 1.0 + v, 0.0, 1.0)
 
     def _tail_dep(self):
@@ -619,34 +631,32 @@ class TruncatedCopula(CopulaModel):
     """The copula of U | U <= t on the unit cube (copula scale).
 
     By default it is the construction C(x(u)) / C(t), x_j = sec_j_inv(C(t) u_j),
-    with the source's analytic section inverses where it has them (``_x``); a
-    form overrides ``_section_inv`` or ``_cdf``.  ``route`` names how
-    ``sampling.sample_truncated`` draws from the form: "oracle" (rejection
-    plus the margin transform) unless the form has an exact sampler.
+    with the source's own section inverses (``_x``), clipped to [0, 1]; a form
+    overrides ``_source_inv`` or ``_cdf``.  The ``_truncate`` that builds it
+    names its ``form`` and its ``route``, how ``sampling.sample_truncated``
+    draws from it: "oracle" (rejection plus the margin transform) unless the
+    form has an exact sampler.
     """
 
-    form = ""
-    route = "oracle"
-
-    def __init__(self, source, point):
+    def __init__(self, source, point, form, route):
         self.source = source
         self.point = point
         self.d = source.d
+        self.form = form
+        self.route = route
 
-    def _section_inv(self, j, y):
+    def _source_inv(self, j, y):
         """sec_j_inv(y) in [0, t_j] of the source at t, for y in [0, C(t)]."""
-        return _section_inv_auto(self.source, j, y, self.point.t, self.point.c_of_t)
+        t = self.point.t
+        return np.clip(self.source._section_inv(j, y, t, self.point.c_of_t), 0.0, t[j])
 
     def _x(self, pts):
         """The source points x_j = sec_j_inv(C(t) u_j) in [0, t], one column per coordinate."""
         c = self.point.c_of_t
-        return np.column_stack([self._section_inv(j, c * pts[:, j]) for j in range(self.d)])
+        return np.column_stack([self._source_inv(j, c * pts[:, j]) for j in range(self.d)])
 
     def _cdf(self, pts):
-        return self.source._at(self._x(pts)) / self.point.c_of_t
-
-    def _at(self, pts):
-        return np.clip(self._cdf(pts), 0.0, 1.0)
+        return np.clip(self.source._cdf(self._x(pts)) / self.point.c_of_t, 0.0, 1.0)
 
     # bound on this class too, so that profiles name truncated CDF calls apart
     cdf = CopulaModel.cdf
@@ -666,17 +676,15 @@ class ModelTruncation(TruncatedCopula):
     """A truncation that is a model again (``model``), with the form and route its builder names."""
 
     def __init__(self, source, point, model, form, route):
-        super().__init__(source, point)
+        super().__init__(source, point, form, route)
         self.model = model
-        self.form = form
-        self.route = route
 
     @property
     def exchangeable(self):
         return self.model.exchangeable
 
     def _cdf(self, pts):
-        return self.model._cdf(pts)
+        return np.clip(self.model._cdf(pts), 0.0, 1.0)
 
     def _tail_dep(self):
         return self.model._tail_dep()
@@ -686,30 +694,6 @@ class ModelTruncation(TruncatedCopula):
 
     def _propose(self, n, t, rng):
         return self.model._propose(n, t, rng)
-
-
-class MOTruncation(TruncatedCopula):
-    """Truncated bivariate Marshall-Olkin copula: the construction with the
-    model's exact section inverses (Marshall & Olkin 1967).
-
-    The singular component survives as the image of the source curve
-    x1^a1 = x2^a2; it ends inside the square when t2^a2 < t1^a1.
-    """
-
-    form = "marshall-olkin"
-
-    def singular_curve(self, u1):
-        """u2 on the singular curve at u1 in [0, 1] (nan where the curve has left
-        the square); a scalar gives a float."""
-        u1 = np.asarray(u1, dtype=float)
-        u = _unit_points(u1.reshape(-1, 1), 1)[0][:, 0]
-        t, c = self.point.t, self.point.c_of_t
-        x1 = self._section_inv(0, c * u)
-        x2 = x1 ** (self.source.alpha1 / self.source.alpha2)
-        u2 = self.source._at(np.column_stack([np.full_like(x2, t[0]), np.minimum(x2, t[1])])) / c
-        # the slack keeps the end point where x2 rounds just above t2
-        out = np.where(x2 <= t[1] * (1.0 + _EDGE_TOL), u2, np.nan).reshape(u1.shape)
-        return float(out) if u1.ndim == 0 else out
 
 
 class GeneralTruncation(TruncatedCopula):
@@ -722,9 +706,10 @@ class GeneralTruncation(TruncatedCopula):
     on the rows still open.
     """
 
-    form = "general"
+    def __init__(self, source, point):
+        super().__init__(source, point, "general", "oracle")
 
-    def _section_inv(self, j, y):
+    def _source_inv(self, j, y):
         # always numeric; the ITP bracket never leaves [0, t_j]
         return _itp_section_inv(self.source, j, y, self.point.t, self.point.c_of_t)
 
@@ -756,7 +741,7 @@ def truncated_cdf(model, t, x):
     """
     tp = TruncationPoint.make(model, t)
     pts, squeeze = _unit_points(x, model.d)
-    out = model._at(np.minimum(pts, tp.t)) / tp.c_of_t
+    out = model._cdf(np.minimum(pts, tp.t)) / tp.c_of_t
     return float(out[0]) if squeeze else out
 
 

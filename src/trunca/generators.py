@@ -325,8 +325,8 @@ class ClaytonGenerator(Generator):
 
     def __init__(self, theta):
         theta = float(theta)
-        if not theta > 0:
-            raise ValueError("Clayton generator requires theta > 0")
+        if not 0 < theta < np.inf:
+            raise ValueError("Clayton generator requires a finite theta > 0")
         self.theta = theta
 
     def _log_psi(self, t):
@@ -410,8 +410,8 @@ class FrankGenerator(Generator):
 
     def __init__(self, theta):
         theta = float(theta)
-        if not theta > 0:
-            raise ValueError("Frank generator requires theta > 0")
+        if not 0 < theta < np.inf:
+            raise ValueError("Frank generator requires a finite theta > 0")
         self.theta = theta
         self._log_p = float(log1mexp(-theta))  # log(1 - e^-theta)
 
@@ -452,8 +452,8 @@ class GumbelGenerator(Generator):
 
     def __init__(self, theta):
         theta = float(theta)
-        if not theta >= 1:
-            raise ValueError("Gumbel generator requires theta >= 1")
+        if not 1 <= theta < np.inf:
+            raise ValueError("Gumbel generator requires a finite theta >= 1")
         self.theta = theta
 
     def _log_psi(self, t):
@@ -506,8 +506,8 @@ class JoeGenerator(Generator):
 
     def __init__(self, theta):
         theta = float(theta)
-        if not theta >= 1:
-            raise ValueError("Joe generator requires theta >= 1")
+        if not 1 <= theta < np.inf:
+            raise ValueError("Joe generator requires a finite theta >= 1")
         self.theta = theta
 
     def _psi(self, t):

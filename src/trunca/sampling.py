@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .copulas import SamplingError, TruncatedCopula, TruncationPoint
+from .copulas import SamplingError, TruncatedCopula, TruncationPoint, _whole
 from .frailty import sample_frailty
 from .generators import _check_range
 
@@ -70,7 +70,7 @@ class SampleMatrix:
 
 
 def _rows_wanted(n):
-    n = int(n)
+    n = _whole(n, "a row count")
     if n < 1:
         raise ValueError("need n >= 1")
     return n

@@ -301,7 +301,7 @@ def test_c08_marshall_olkin():
     d = 0.003
     ratios = []
     for u1 in (0.3, 0.5, 0.7):
-        u2 = float(tc.singular_curve(np.asarray(u1)))
+        u2 = float(mo.singular_curve(np.asarray(u1), [0.6, 0.9]))
         on = box_mass(tc, [u1 - d, u2 - d], [u1 + d, u2 + d])
         off = box_mass(tc, [u1 - d, u2 - 0.2 - d], [u1 + d, u2 - 0.2 + d])
         ratios.append(on / off)

@@ -312,6 +312,13 @@ class TestEmpiricalTailDep:
             empirical_tail_dep(rng_stream(0).random((100, 2)), 0.1)
         with pytest.raises(ValueError):
             empirical_tail_dep(rng_stream(0).random((5000, 2)), 0.7)
+        # rows off the copula scale are an error, not lambda_upper = -8 with se 0
+        for value in (np.nan, 5.0, -0.5):
+            data = rng_stream(0).random((2000, 2))
+            data[7, 1] = value
+            for bad in (data, np.full((2000, 2), value)):
+                with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                    empirical_tail_dep(bad, 0.1)
 
 
 class TestEmpiricalKendallTau:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from trunca import (
     ArchimedeanCopula,
@@ -17,10 +17,10 @@ from trunca import (
     IndependenceCopula,
     MarshallOlkinCopula,
     ModelTruncation,
-    MOTruncation,
     NestedArchimedeanCopula,
     SampleMatrix,
     SamplingError,
+    TruncatedCopula,
     TruncationPoint,
     box_mass,
     empirical_copula_distance,
@@ -164,7 +164,7 @@ class TestMarginSection:
         for j in (-1, -m.d, m.d):
             with pytest.raises(IndexError):
                 m.margin_section(j, 0.5, t)
-            with pytest.raises(IndexError):
+            with pytest.raises(IndexError, match="invalid coordinate index"):
                 m.margin_section_inv(j, 0.01, t)
 
 
@@ -305,16 +305,18 @@ class TestTruncateDispatch:
             pts = rng.random((300, m.d))
             assert np.max(np.abs(tc.cdf(pts) - tb.cdf(pts))) <= 1e-9, name
 
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_sample_model_needs_a_row(self, n):
+    @pytest.mark.parametrize("n,match", [(0, "need n >= 1"), (-1, "need n >= 1"),
+                                         (1.5, "whole number"), (2.9, "whole number"),
+                                         ("3", "whole number"), (True, "whole number")])
+    def test_sample_model_needs_a_row(self, n, match):
         # every model sampler checks n the same way, before drawing anything
         for name, (m, _) in model_zoo().items():
-            with pytest.raises(ValueError, match="need n >= 1"):
+            with pytest.raises(ValueError, match=match):
                 sample_model(m, n, rng_stream(0))
 
     def test_sampling_dispatch_errors(self):
         # a truncated form that is no model has no sampler of its own
-        for name, form in [("mo", "MOTruncation"), ("survival_gumbel", "GeneralTruncation")]:
+        for name, form in [("mo", "TruncatedCopula"), ("survival_gumbel", "GeneralTruncation")]:
             tc = truncate_general(*ZOO[name])
             with pytest.raises(TypeError, match=f"no sampler for model type {form}"):
                 sample_model(tc, 10, rng_stream(0))
@@ -730,28 +732,36 @@ class TestMarshallOlkin:
         tc = truncate_general(mo, [0.6, 0.9])
         d = 0.003
         for u1 in (0.3, 0.5, 0.7):
-            u2 = float(tc.singular_curve(np.asarray(u1)))
+            u2 = float(mo.singular_curve(np.asarray(u1), [0.6, 0.9]))
             on = box_mass(tc, [u1 - d, u2 - d], [u1 + d, u2 + d])
             off = box_mass(tc, [u1 - d, u2 - 0.2 - d], [u1 + d, u2 - 0.2 + d])
             assert on > 10.0 * off
 
     def test_singular_curve_range(self):
         mo = MarshallOlkinCopula(0.2, 0.7)
-        tc = truncate_general(mo, [0.9, 0.6])  # case 1: curve ends at the breakpoint
+        t = [0.9, 0.6]  # case 1: curve ends at the breakpoint
         breakpoint = (0.6**0.7 / 0.9**0.2) ** ((1.0 - 0.2) / 0.2)
-        assert np.isnan(tc.singular_curve(np.asarray(breakpoint + 0.05)))
-        u2 = tc.singular_curve(np.asarray(breakpoint))
+        assert np.isnan(mo.singular_curve(np.asarray(breakpoint + 0.05), t))
+        u2 = mo.singular_curve(np.asarray(breakpoint), t)
         assert u2 == pytest.approx(1.0, abs=1e-10)
 
     def test_singular_curve_checks_u1(self):
         # u1 is checked as cdf checks points; a scalar gives a float
-        tc = truncate_general(MarshallOlkinCopula(0.2, 0.7), [0.9, 0.6])
+        mo, t = MarshallOlkinCopula(0.2, 0.7), [0.9, 0.6]
         for bad in (1.5, -0.2, np.nan, [0.3, 1.5]):
             with pytest.raises(ValueError):
-                tc.singular_curve(bad)
-        assert type(tc.singular_curve(0.1)) is float
-        assert tc.singular_curve([[0.0, 0.1]]).shape == (1, 2)
-        assert tc.singular_curve(0.0) == 0.0
+                mo.singular_curve(bad, t)
+        assert type(mo.singular_curve(0.1, t)) is float
+        assert mo.singular_curve([[0.0, 0.1]], t).shape == (1, 2)
+        assert mo.singular_curve(0.0, t) == 0.0
+
+    @pytest.mark.parametrize("a1,a2", [(0.2, 0.7), (0.7, 0.2), (0.5, 0.5)])
+    def test_singular_curve_of_the_model(self, a1, a2):
+        # at t = (1, 1) the truncation is the model: its curve u2 = u1^(a1/a2),
+        # bit for bit, never leaves the square (no nan)
+        u = np.linspace(0.0, 1.0, 101)
+        curve = MarshallOlkinCopula(a1, a2).singular_curve(u, [1.0, 1.0])
+        assert_array_equal(curve, u ** (a1 / a2))
 
 
 def _decimal_mo_truncated_cdf(a1, a2, t, u):
@@ -827,7 +837,7 @@ class TestSurvival:
 @given(u=hnp.arrays(np.float64, st.tuples(st.integers(1, 30), st.just(2)),
                     elements=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))))
 def test_survival_cdf_is_the_public_formula(name, u):
-    # the survival CDF evaluates its inner model by _at, and nothing else changes
+    # the survival CDF evaluates its inner model by _cdf, and nothing else changes
     if name == "mo-truncated":
         inner = truncate_general(*ZOO["mo"])
     else:
@@ -897,7 +907,8 @@ def test_tilted_route_is_the_archimedean_sampler():
 
 def test_mo_truncation_type():
     tc = truncate_general(MarshallOlkinCopula(0.2, 0.7), [0.5, 0.8])
-    assert isinstance(tc, MOTruncation)
+    assert type(tc) is TruncatedCopula
+    assert (tc.form, tc.route) == ("marshall-olkin", "oracle")
 
 
 def test_survival_truncation_is_general():

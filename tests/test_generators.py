@@ -42,7 +42,8 @@ def all_generators():
 @pytest.mark.parametrize(
     "fam,theta",
     [("clayton", 0.0), ("clayton", -1.0), ("amh", 1.0), ("amh", -0.1),
-     ("frank", 0.0), ("gumbel", 0.9), ("joe", 0.5)],
+     ("frank", 0.0), ("gumbel", 0.9), ("joe", 0.5),
+     ("clayton", np.inf), ("frank", np.inf), ("gumbel", np.inf), ("joe", np.inf)],
 )
 def test_parameter_range_errors(fam, theta):
     with pytest.raises(ValueError):

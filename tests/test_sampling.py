@@ -359,9 +359,16 @@ class TestSampleTruncated:
         for n in (0, -3):
             with pytest.raises(ValueError, match="need n >= 1"):
                 sample_truncated(tc, n, rng_stream(20))
+        # a row count is a whole number, as a dimension is: 3.0 is 3 rows
+        for n in (2.9, "3", True):
+            with pytest.raises(ValueError, match="whole number"):
+                sample_truncated(tc, n, rng_stream(20))
+        assert sample_truncated(tc, 3.0, rng_stream(20)).data.shape == (3, model.d)
         if route == "oracle":
             with pytest.raises(ValueError, match="need n >= 1"):
                 oracle_sample(model, t, 0, rng_stream(20))
+            with pytest.raises(ValueError, match="whole number"):
+                oracle_sample(model, t, 2.9, rng_stream(20))
 
     def test_joe_tiny_tilt(self):
         # t2 = 1 - 2^-53 tilts Joe by h ~ 1.2e-32, where p = e^-h rounds to 1

@@ -217,7 +217,7 @@ def _models(tr):
         if tc.form == "marshall-olkin":
             # case 1 (t2^a2 <= t1^a1): the curve leaves the square through u2 = 1
             for case, tt in (("case1", [0.9, 0.6]), ("case2", [0.6, 0.9])):
-                curve = tr.truncate_general(m, tt).singular_curve(np.linspace(0.0, 1.0, 33))
+                curve = m.singular_curve(np.linspace(0.0, 1.0, 33), tt)
                 out[f"{key}/singular-curve-{case}"] = _array_digest(curve)
         if tc.form in ("nested", "product"):
             # a cross-sector pair (first and last sector) and a pair inside the first wide sector
