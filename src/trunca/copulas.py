@@ -54,7 +54,7 @@ from itertools import product
 
 import numpy as np
 
-from .frailty import sample_frailty
+from .frailty import _whole, sample_frailty
 from .generators import Generator, SamplingError, _check_range, _columnwise
 
 __all__ = [
@@ -100,16 +100,6 @@ def _inside(u, t):
     for j in range(1, u.shape[1]):
         ok &= u[:, j] <= t[j]
     return ok
-
-
-def _whole(x, what="a dimension"):
-    """x as an int: 3 and 3.0 pass; 2.9, "3" and True raise ValueError."""
-    try:
-        if int(x) == x and type(x) not in (bool, np.bool_):
-            return int(x)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{what} must be a whole number, got {x!r}")
 
 
 class CopulaModel:

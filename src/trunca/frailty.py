@@ -16,10 +16,11 @@ lambda = h^alpha < 1.5, at about e^lambda stable proposals per draw, and
 Devroye's double rejection from 1.5 up, at 1.1-1.6 outer iterations per draw
 and memory flat in the tilt.  It needs numpy only.
 
-Every sampler takes the number of draws ``size`` and returns an array of that
-length.  Discrete samplers return integer-valued float arrays: Sibuya
-variates can exceed 2**53 (the law has infinite mean), where exact integer
-representation is neither possible nor statistically relevant.
+Every sampler takes the number of draws ``size``, a whole number as seeds
+and stream indices are (``_whole``), and returns an array of that length.
+Discrete samplers return integer-valued float arrays: Sibuya variates can
+exceed 2**53 (the law has infinite mean), where exact integer representation
+is neither possible nor statistically relevant.
 """
 
 from __future__ import annotations
@@ -35,6 +36,17 @@ __all__ = [
     "sample_tilted_stable",
 ]
 
+
+def _whole(x, what="a dimension"):
+    """x as an int: 3 and 3.0 pass; 2.9, "3" and True raise ValueError."""
+    try:
+        if int(x) == x and type(x) not in (bool, np.bool_):
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be a whole number, got {x!r}")
+
+
 def rng_stream(seed, stream=0):
     """A counter-based (Philox) generator; (seed, stream) determines all draws.
 
@@ -42,8 +54,7 @@ def rng_stream(seed, stream=0):
     same seed, which is how parallel workers and auxiliary randomness (e.g.
     bootstrap) stay reproducible.
     """
-    seed = int(seed)
-    stream = int(stream)
+    seed, stream = _whole(seed, "a seed"), _whole(stream, "a stream index")
     if seed < 0 or stream < 0:
         raise ValueError("seed and stream must be nonnegative integers")
     key = np.array([seed, stream], dtype=np.uint64)
@@ -86,7 +97,7 @@ def sample_sibuya(alpha, rng, size):
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("Sibuya exponent alpha must lie in (0, 1]")
-    n = int(size)
+    n = _whole(size, "a sample size")
     return _geometric(_sibuya_log_q(alpha, rng, n), rng)
 
 
@@ -108,25 +119,22 @@ def sample_tilted_sibuya(alpha, p, rng, size, return_stats=False):
         raise ValueError("alpha must lie in (0, 1]")
     if not 0.0 < p < 1.0:
         raise ValueError("tilt parameter p = e^{-h} must lie in (0, 1)")
-    out, proposals = _tilted_sibuya(alpha, p, np.log(p), rng, int(size))
+    out, proposals = _tilted_sibuya(alpha, p, np.log(p), rng, _whole(size, "a sample size"))
     if return_stats:
         return out, out.size, proposals
     return out
 
 
-def _tilted_sibuya(alpha, p, logp, rng, n, branch="auto"):
+def _tilted_sibuya(alpha, p, logp, rng, n):
     """``sample_tilted_sibuya`` given log p as well: returns (draws, proposals).
 
     A tilt h below about 1.1e-16 rounds p = e^{-h} to 1, yet the thinning
     p^(V-1) = e^{-h (V-1)} still matters in Sibuya's infinite-mean tail, so
-    the Sibuya envelope reads log p = -h; ``auto`` never picks the log
-    envelope there.  ``branch="sibuya"`` or ``"log"`` forces an envelope.
+    the Sibuya envelope reads log p = -h; the selection rule never picks the
+    log envelope there.
     """
-    if branch == "auto":
-        with np.errstate(divide="ignore"):
-            use_sibuya = p <= -alpha * np.log1p(-p)
-    else:
-        use_sibuya = branch == "sibuya"
+    with np.errstate(divide="ignore"):
+        use_sibuya = p <= -alpha * np.log1p(-p)
     out = np.empty(n)
     pending = np.arange(n)
     proposals = 0
@@ -158,7 +166,7 @@ def sample_stable(alpha, rng, size):
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("stable exponent alpha must lie in (0, 1]")
-    n = int(size)
+    n = _whole(size, "a sample size")
     if alpha == 1.0:
         return np.ones(n)
     u = np.clip(rng.random(n), 1e-16, 1.0 - 1e-16)
@@ -195,7 +203,7 @@ def sample_tilted_stable(alpha, h, rng, size):
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise ValueError("stable exponent alpha must lie in (0, 1]")
-    n = int(size)
+    n = _whole(size, "a sample size")
     h = np.broadcast_to(np.asarray(h, dtype=float), (n,))
     if not np.all((h >= 0) & np.isfinite(h)):
         raise ValueError("tilt h must be finite and nonnegative")
@@ -345,4 +353,4 @@ def sample_frailty(g, h, rng, size):
     h = float(h)
     if not h >= 0:
         raise ValueError("tilt h must be nonnegative")
-    return g._frailty(h, rng, int(size))
+    return g._frailty(h, rng, _whole(size, "a sample size"))

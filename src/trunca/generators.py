@@ -8,11 +8,15 @@ laws in ``frailty``) and its analytic tail coefficients
 ``_log_neg_dpsi`` (``log(-psi')``, from which ``psi'`` is derived) and
 ``_d2psi``, plus ``_psi`` where it is more exact.  The base class holds the
 tilted inverse ``psi_inv(psi(h) u) - h`` (``_tilted_inv``); independence,
-Clayton, Gumbel and the outer power override it only to avoid the
-cancelling difference.  Where ``psi(h) u`` is below the smallest normal
-float, the base form takes AMH's, Frank's and Joe's exponential tail
-``log K - log(psi(h) u)``; the Gumbel and outer-power forms ``h expm1(L)``
-take ``exp(log h + L)`` where a tiny tilt overflows ``expm1``.  A generator
+Clayton and the power generators override it only to avoid the cancelling
+difference.  Where ``psi(h) u`` is below the smallest normal float, the base
+form takes AMH's, Frank's and Joe's exponential tail
+``log K - log(psi(h) u)``.  The outer power and Gumbel, which is independence
+to the outer power 1/theta, share one set of kernels (``_PowerGenerator``):
+their tilted inverse ``h expm1(L)``, ``L = log1p(D h^-alpha) / alpha``,
+takes ``exp(log h + L)`` where a tiny tilt overflows ``expm1``, and the
+direct form ``(h^alpha + D)^(1/alpha) - h`` where ``D h^-alpha`` overflows
+(a tiny tilt with alpha near 1, or a huge ``D``).  A generator
 evaluates the Archimedean sum ``psi(sum_j psi_inv(x_j))`` (``_psi_sum``) of
 its copulas, flat or nested; independence's is the exact product.
 The public methods (``psi``, ``psi_inv``, ``psi_deriv`` and the logs) check
@@ -244,8 +248,8 @@ class Generator:
         Given V0 = v0 the law has Laplace transform exp(-v0 psi0_inv(psi_s(x))).
         """
         raise SamplingError(
-            "nested sampling is implemented for independence roots and plain "
-            "Clayton or Gumbel stacks"
+            "nested sampling is implemented for independence roots and Clayton, "
+            "Gumbel and outer-power stacks"
         )
 
     def _truncated_sector(self, g, ds, c, cs):
@@ -255,8 +259,9 @@ class Generator:
     def _tail_pair(self, alpha=1.0):
         """(lambda_l at any tilt, lambda_u at tilt 0) of the generator psi(t^alpha).
 
-        The upper coefficient is 2 - 2^(alpha kappa): kappa = 1 here, and
-        Gumbel and Joe pass alpha kappa with their kappa = 1/theta.
+        The upper coefficient is 2 - 2^(alpha kappa): kappa = 1 here, Joe
+        passes alpha kappa with its kappa = 1/theta, and a power generator
+        (Gumbel too) passes its own alpha times alpha to its base.
         """
         return 0.0, max(2.0 - 2.0**alpha, 0.0)
 
@@ -445,8 +450,75 @@ class FrankGenerator(Generator):
         return _geometric(log1mexp(rng.random(n) * log_r), rng)
 
 
-class GumbelGenerator(Generator):
-    """psi(t) = exp(-t^(1/theta)), theta >= 1."""
+class _PowerGenerator(Generator):
+    """psi(t) = base_psi(t^alpha) for alpha in (0, 1]: the kernels of an outer power.
+
+    A subclass sets ``base``, ``alpha`` and the inverse exponent ``_inv``,
+    1/alpha, which Gumbel (independence to the power 1/theta) keeps as theta
+    itself.  For two outer powers of one base psi0_inv(psi_s(x)) =
+    x^(alpha_s / alpha0), so a root of this kind draws its sectors'
+    frailties as a stable law scaled by the root's.
+    """
+
+    def _psi(self, t):
+        # the base's own psi: Frank's and Joe's are more exact than exp(log_psi)
+        return self.base._psi(np.power(t, self.alpha))
+
+    def _log_psi(self, t):
+        return self.base._log_psi(np.power(t, self.alpha))
+
+    def _psi_inv(self, u):
+        return np.power(self.base._psi_inv(u), self._inv)
+
+    def _d2psi(self, t):
+        a = self.alpha
+        s = np.power(t, a)
+        first = self.base._d2psi(s) * a * a * np.power(t, 2.0 * a - 2.0)
+        if a == 1.0:
+            # the second term is psi'(0) * 0 * inf at t = 0
+            return first
+        return first - np.exp(self.base._log_neg_dpsi(s)) * a * (a - 1.0) * np.power(t, a - 2.0)
+
+    def _log_neg_dpsi(self, t):
+        # psi'(t^alpha) alpha t^(alpha - 1); the power is 1 at alpha = 1, also at t = 0
+        a = self.alpha
+        log_power = (a - 1.0) * np.log(t) if a != 1.0 else 0.0
+        return self.base._log_neg_dpsi(np.power(t, a)) + np.log(a) + log_power
+
+    def _tilted_inv(self, h, u):
+        # (h^alpha + D)^inv - h = h expm1(inv log1p(D h^-alpha)), D the base's tilted
+        # inverse at h^alpha (for independence -log u)
+        if h == 0.0:
+            return self._psi_inv(u)
+        ha = h**self.alpha
+        if np.log(h) < -_LOG_MAX * self._inv:
+            # h^-alpha overflows (a subnormal tilt, alpha near 1)
+            return self._direct_tilted_inv(h, ha, u)
+        out = _h_expm1(h, self._inv * np.log1p(self.base._tilted_inv(ha, u) * h**-self.alpha))
+        big = np.isinf(out)
+        if np.any(big):
+            # D h^-alpha overflowed: D is huge (Gumbel(20)'s at a tiny tilt) or infinite
+            out[big] = self._direct_tilted_inv(h, ha, u[big])
+        return out
+
+    def _direct_tilted_inv(self, h, ha, u):
+        # (h^alpha + D)^inv - h keeps h^alpha, which is not below an ulp of a subnormal D
+        # (an outer power of Gumbel(20) near u = 1); at D = 0, (h^alpha)^inv - h can be an ulp
+        d = self.base._tilted_inv(ha, u)
+        return np.where(d == 0.0, 0.0, np.power(ha + d, self._inv) - h)
+
+    def _inner_frailty(self, g, v0, rng):
+        # exp(-v0 x^a), a = inv0 / inv_s the ratio of inverse exponents: v0^(1/a) times
+        # a stable S_a
+        a = self._inv / g._inv
+        return np.power(v0, 1.0 / a) * sample_stable(a, rng, size=v0.size)
+
+    def _tail_pair(self, alpha=1.0):
+        return self.base._tail_pair(alpha * self.alpha)
+
+
+class GumbelGenerator(_PowerGenerator):
+    """psi(t) = exp(-t^(1/theta)), theta >= 1: independence to the outer power 1/theta."""
 
     family = "gumbel"
 
@@ -454,49 +526,12 @@ class GumbelGenerator(Generator):
         theta = float(theta)
         if not 1 <= theta < np.inf:
             raise ValueError("Gumbel generator requires a finite theta >= 1")
-        self.theta = theta
-
-    def _log_psi(self, t):
-        return -np.power(t, 1.0 / self.theta)
-
-    def _psi_inv(self, u):
-        return np.power(-np.log(u), self.theta)
-
-    def _d2psi(self, t):
-        ith = 1.0 / self.theta
-        if ith == 1.0:
-            return np.exp(-t)
-        s = np.power(t, ith)
-        return ith * np.power(t, ith - 2.0) * np.exp(-s) * ((1.0 - ith) + ith * s)
-
-    def _log_neg_dpsi(self, t):
-        ith = 1.0 / self.theta
-        if ith == 1.0:
-            return -np.asarray(t, dtype=float)
-        return np.log(ith) + (ith - 1.0) * np.log(t) - np.power(t, ith)
-
-    def _tilted_inv(self, h, u):
-        # (h^(1/theta) - log u)^theta - h = h expm1(theta log1p(-log(u) h^(-1/theta)))
-        if h == 0.0 or np.log(h) < -_LOG_MAX * self.theta:
-            # h^(-1/theta) overflows (a subnormal tilt, theta near 1): h^(1/theta) < 1e-308
-            # then moves (h^(1/theta) - log u)^theta - h by under an ulp, as -log u >= 1.1e-16
-            return self._psi_inv(u)
-        x = -np.log(u)
-        return _h_expm1(h, self.theta * np.log1p(x * h ** (-1.0 / self.theta)))
+        self.theta = self._inv = theta
+        self.base, self.alpha = IndependenceGenerator(), 1.0 / theta
 
     def _frailty(self, h, rng, n):
         # the positive stable law tilts to the exponentially tilted stable
-        if self.theta == 1.0:
-            return np.ones(n)
-        return sample_tilted_stable(1.0 / self.theta, h, rng, size=n)
-
-    def _inner_frailty(self, g, v0, rng):
-        # exp(-v0 x^a) with a = theta0/theta_s: v0^(1/a) times a stable S_a
-        a = self.theta / g.theta
-        return np.power(v0, 1.0 / a) * sample_stable(a, rng, size=v0.size)
-
-    def _tail_pair(self, alpha=1.0):
-        return super()._tail_pair(alpha * (1.0 / self.theta))
+        return sample_tilted_stable(self.alpha, h, rng, size=n)
 
 
 class JoeGenerator(Generator):
@@ -613,7 +648,7 @@ class TiltedGenerator(Generator):
         return f"TiltedGenerator({self.base!r}, h={self.h!r})"
 
 
-class OuterPowerGenerator(Generator):
+class OuterPowerGenerator(_PowerGenerator):
     """psi_op(t) = psi(t^alpha) for alpha in (0, 1].
 
     Requires a completely monotone base, which all implemented families are
@@ -631,6 +666,7 @@ class OuterPowerGenerator(Generator):
             base = base.base
         self.base = base
         self.alpha = alpha
+        self._inv = 1.0 / alpha
 
     @property
     def family(self):
@@ -640,51 +676,19 @@ class OuterPowerGenerator(Generator):
     def theta(self):
         return self.base.theta
 
-    def _psi(self, t):
-        # the base's own psi: Frank's and Joe's are more exact than exp(log_psi)
-        return self.base._psi(np.power(t, self.alpha))
-
-    def _log_psi(self, t):
-        return self.base._log_psi(np.power(t, self.alpha))
-
-    def _psi_inv(self, u):
-        return np.power(self.base._psi_inv(u), 1.0 / self.alpha)
-
-    def _d2psi(self, t):
-        a = self.alpha
-        s = np.power(t, a)
-        first = self.base._d2psi(s) * a * a * np.power(t, 2.0 * a - 2.0)
-        if a == 1.0:
-            # the second term is psi'(0) * 0 * inf at t = 0
-            return first
-        return first - np.exp(self.base._log_neg_dpsi(s)) * a * (a - 1.0) * np.power(t, a - 2.0)
-
-    def _log_neg_dpsi(self, t):
-        # psi'(t^alpha) alpha t^(alpha - 1); the power is 1 at alpha = 1, also at t = 0
-        a = self.alpha
-        log_power = (a - 1.0) * np.log(t) if a != 1.0 else 0.0
-        return self.base._log_neg_dpsi(np.power(t, a)) + np.log(a) + log_power
-
-    def _tilted_inv(self, h, u):
-        # (h^alpha + D)^(1/alpha) - h with D the base tilted inverse at h^alpha
-        if h == 0.0:
-            return self._psi_inv(u)
-        ha = h**self.alpha
-        return _h_expm1(h, np.log1p(self.base._tilted_inv(ha, u) / ha) / self.alpha)
-
     def _frailty(self, h, rng, n):
         # Conditional decomposition of the stochastic representation S V^(1/alpha):
         # tilt the mixing variable by h^alpha, then draw a stable factor tilted
         # by h V^(1/alpha); together they realize psi_op(t + h)/psi_op(h) exactly.
         a = self.alpha
         with np.errstate(over="ignore"):
-            root = np.power(self.base._frailty(h**a, rng, n), 1.0 / a)
+            root = np.power(self.base._frailty(h**a, rng, n), self._inv)
         if not np.all(np.isfinite(root)):
             # psi_op stays far from 1 near 0 for small alpha, so no finite
             # stand-in for an overflowed factor is exact
             raise OverflowError(
                 f"frailty of {self!r} overflows: the base frailty to the power "
-                f"1/alpha = {1.0 / a!r} is not finite in float64"
+                f"1/alpha = {self._inv!r} is not finite in float64"
             )
         return root * sample_tilted_stable(a, h * root, rng, size=n)
 
@@ -696,9 +700,6 @@ class OuterPowerGenerator(Generator):
             and g.theta == self.theta
             and self.alpha >= g.alpha
         )
-
-    def _tail_pair(self, alpha=1.0):
-        return self.base._tail_pair(alpha * self.alpha)
 
     def __repr__(self):
         return f"OuterPowerGenerator({self.base!r}, alpha={self.alpha!r})"

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .copulas import SamplingError, TruncatedCopula, TruncationPoint, _whole
-from .frailty import sample_frailty
+from .copulas import SamplingError, TruncatedCopula, TruncationPoint
+from .frailty import _whole, sample_frailty
 from .generators import _check_range
 
 __all__ = [
@@ -84,7 +84,7 @@ def sample_archimedean(gen, d, n, rng):
     """
     n = _rows_wanted(n)
     v = sample_frailty(gen, 0.0, rng, size=n)
-    e = rng.standard_exponential((n, int(d)))
+    e = rng.standard_exponential((n, _whole(d)))
     # the public psi, not _psi: its one scan per call is what turns a 0/0 row
     # (a frailty that under- or overflowed) into an error, not a NaN row
     return np.asarray(gen.psi(e / v[:, None]))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import gammaln
 from scipy.stats import binom, chi2, norm
 
@@ -12,6 +13,7 @@ from trunca import (
     Generator,
     generator,
     rng_stream,
+    sample_archimedean,
     sample_frailty,
     sample_sibuya,
     sample_stable,
@@ -195,17 +197,22 @@ class TestTiltedSibuya:
         # log(1 - P) = -inf; the accept test must not form 0 * -inf at V = 1
         assert np.any(rng_stream(30).beta(0.9, 0.1, size=10_000) == 1.0)
         n = 200_000
-        alpha, p = 0.9, 0.5
-        v = frailty._tilted_sibuya(alpha, p, np.log(p), rng_stream(30), n, "log")[0]
+        alpha, p = 0.9, 0.1
+        assert p > -alpha * np.log1p(-p)  # the rule picks the log envelope
+        v = sample_tilted_sibuya(alpha, p, rng_stream(30), size=n)
         assert not np.any(np.isnan(v))
         p1 = p * alpha / (1.0 - (1.0 - p) ** alpha)
         assert abs((v == 1).mean() - p1) <= 4 * np.sqrt(p1 * (1 - p1) / n)
 
     def test_branch_consistency(self):
-        # both envelopes must yield the same law: two-sample chi-square at 1%
+        # both envelopes must yield the same law: two-sample chi-square at 1%, on
+        # either side of the switch p = -alpha log(1 - p), where the laws differ by 1e-9
         n = 200_000
-        a = frailty._tilted_sibuya(0.5, 0.51, np.log(0.51), rng_stream(12), n, "sibuya")[0]
-        b = frailty._tilted_sibuya(0.5, 0.51, np.log(0.51), rng_stream(13), n, "log")[0]
+        p0 = brentq(lambda p: p + 0.5 * np.log1p(-p), 0.5, 0.9, xtol=1e-15)
+        p_sib, p_log = p0 * (1.0 + 1e-9), p0 * (1.0 - 1e-9)
+        assert p_sib <= -0.5 * np.log1p(-p_sib) and p_log > -0.5 * np.log1p(-p_log)
+        a = sample_tilted_sibuya(0.5, p_sib, rng_stream(12), size=n)
+        b = sample_tilted_sibuya(0.5, p_log, rng_stream(13), size=n)
         edges = list(range(1, 11))
         oa = np.array([(a == k).sum() for k in edges] + [(a > 10).sum()], dtype=float)
         ob = np.array([(b == k).sum() for k in edges] + [(b > 10).sum()], dtype=float)
@@ -454,6 +461,30 @@ class TestFrailtyDispatch:
         a = np.asarray(sample_frailty(generator("joe", 2.0), 0.7, rng_stream(25), size=1000))
         b = np.asarray(sample_frailty(generator("joe", 2.0), 0.7, rng_stream(25), size=1000))
         assert np.array_equal(a, b)
+
+
+# each takes a count k: a number of draws, a seed, a stream index or a dimension
+_COUNTED = {
+    "sample_frailty": lambda k: sample_frailty(generator("gumbel", 2.0), 0.3, rng_stream(4), size=k),
+    "sample_stable": lambda k: sample_stable(0.5, rng_stream(4), size=k),
+    "sample_tilted_stable": lambda k: sample_tilted_stable(0.5, 2.0, rng_stream(4), size=k),
+    "sample_sibuya": lambda k: sample_sibuya(0.5, rng_stream(4), size=k),
+    "sample_tilted_sibuya": lambda k: sample_tilted_sibuya(0.5, 0.51, rng_stream(4), size=k),
+    "rng_stream-seed": lambda k: rng_stream(k).random(3),
+    "rng_stream-stream": lambda k: rng_stream(1, k).random(3),
+    "sample_archimedean-d": lambda k: sample_archimedean(generator("clayton", 2.0), k, 5, rng_stream(4)),
+}
+
+
+@pytest.mark.parametrize("bad", [2.9, "3", True])
+@pytest.mark.parametrize("name", sorted(_COUNTED))
+def test_counts_are_whole(name, bad):
+    # 3.0 is 3, bit for bit; 2.9, "3" and True are not counts
+    draw = _COUNTED[name]
+    assert draw(3).tobytes() == draw(3.0).tobytes()
+    with pytest.raises(ValueError, match="whole number"):
+        draw(bad)
+
 
 def test_tilted_sibuya_log_acceptance_identity():
     # the log-branch acceptance probability equals V p_V / alpha via Gamma ratios

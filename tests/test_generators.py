@@ -15,6 +15,8 @@ from trunca import (
     generator_from_dict,
     generator_to_dict,
     log1mexp,
+    rng_stream,
+    sample_frailty,
     truncate_general,
 )
 from trunca.generators import _columnwise
@@ -202,6 +204,12 @@ def _decimal_generator(fam, th):
             lambda v: ((one - th * (one - v)) / v).ln())
 
 
+def _gumbel_tilted_inv(theta):
+    """Gumbel's psi_inv(psi(h) v) - h = (h^(1/theta) - log v)^theta - h, in decimals."""
+    th = Decimal(theta)
+    return lambda h, v: (h ** (1 / th) - v.ln()) ** th - h
+
+
 class TestTilt:
     def test_clayton_tilt_is_rescaled_clayton(self):
         g = generator("clayton", 2.0)
@@ -266,9 +274,11 @@ class TestTilt:
         # near independence at this tilt: C_t(u1, u2) ~ u1 u2
         assert tc.cdf([1e-300, 0.5]) == pytest.approx(5e-301, rel=1e-12)
 
-    @pytest.mark.parametrize("g", [generator("gumbel", 20.0), generator("clayton", 2.0, 0.05)])
+    @pytest.mark.parametrize("g", [generator("gumbel", 20.0), generator("clayton", 2.0, 0.05),
+                                   generator("gumbel", 20.0, 1.0), generator("gumbel", 20.0, 0.99)])
     def test_tiny_tilts_near_one(self, g):
-        # h = 8.1e-320 (Gumbel) and 8.5e-314 (outer power): h expm1(L) with L > 709
+        # h = 8.1e-320 (Gumbel) and 8.5e-314 (outer power): h expm1(L) with L > 709; the
+        # outer powers of Gumbel(20) near alpha = 1 overflow h^-alpha and take the direct form
         m = ArchimedeanCopula(g)
         tc = truncate_general(m, [1.0 - 2.0**-53, 1.0])
         assert 0.0 < tc.model.generator.h < 1e-312
@@ -276,23 +286,39 @@ class TestTilt:
         u = np.random.default_rng(16).random((1000, 2))
         assert_allclose(tc.cdf(u), m.cdf(u), rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("theta", [1.0, 1.02])
-    def test_gumbel_subnormal_tilt_near_theta_one(self, theta):
-        # h^(-1/theta) overflows float64 at this tilt: the tilt is below an ulp of every value
-        g = generator("gumbel", theta).tilt(5e-320)
+    @pytest.mark.parametrize("alpha", [1.0, 0.97])
+    def test_huge_base_inverse_at_a_tiny_tilt(self, alpha):
+        # h = 9.3e-302 and 4.6e-311 are normal, but D h^-alpha overflows where Gumbel(20)'s
+        # tilted inverse D is above about 180 (u below 0.3): the direct form takes it there
+        m = ArchimedeanCopula(generator("gumbel", 20.0, alpha))
+        tc = truncate_general(m, [1.0 - 8 * 2.0**-53, 1.0])
+        u = np.random.default_rng(16).random((1000, 2))
+        assert_allclose(tc.cdf(u), m.cdf(u), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("g,base_inv,rtol", [
+        (generator("gumbel", 1.0), _gumbel_tilted_inv(1), 1e-14),
+        (generator("gumbel", 1.02), _gumbel_tilted_inv("1.02"), 1e-14),
+        (generator("independence", None, 1.0), lambda h, v: -v.ln(), 1e-14),
+        (generator("clayton", 2.0, 1.0), lambda h, v: (1 + h) * (v**-2 - 1), 1e-14),
+        # plain Gumbel(20)'s own error at this tilt
+        (generator("gumbel", 20.0, 1.0), _gumbel_tilted_inv(20), 2e-13),
+    ], ids=["gumbel-1", "gumbel-1.02", "op-independence", "op-clayton", "op-gumbel20"])
+    def test_gumbel_subnormal_tilt_near_theta_one(self, g, base_inv, rtol):
+        # h^-alpha overflows float64 at this tilt, alpha = 1/theta or the outer power's 1.0;
+        # at alpha = 1 the tilted inverse is the base's own
         u = np.array([0.0, 1e-300, 1e-5, 0.5, 1.0 - 2.0**-53, 1.0])
         with localcontext() as ctx:
             ctx.prec = 700
-            h, th = Decimal(5e-320), Decimal(theta)
-            want = [float((h ** (1 / th) - Decimal(v).ln()) ** th - h) if v > 0 else np.inf
-                    for v in u]
-        assert_allclose(g.psi_inv(u), want, rtol=1e-14, atol=0.0)
+            want = [float(base_inv(Decimal(5e-320), Decimal(v))) if v > 0 else np.inf for v in u]
+        assert_allclose(g.tilt(5e-320).psi_inv(u), want, rtol=rtol, atol=0.0)
 
     @pytest.mark.parametrize("g,h", [(generator("amh", 0.87), 30.0), (generator("joe", 2.0), 1.5),
                                      (generator("frank", 4.0), 0.3),
-                                     (generator("frank", 4.0, 0.6), 0.3)])
+                                     (generator("frank", 4.0, 0.6), 0.3),
+                                     (generator("clayton", 2.0, 0.995), 1e-310)])
     def test_tilted_inverse_is_zero_at_one(self, g, h):
-        # psi_inv(psi(h)) - h need not cancel; the values below 1 keep that form
+        # psi_inv(psi(h)) - h need not cancel; the values below 1 keep that form.  At
+        # the subnormal tilt (h^alpha)^(1/alpha) - h is one ulp, 5e-324
         tg = g.tilt(h)
         assert tg.psi_inv(1.0) == 0.0
         u = np.linspace(0.05, 1.0, 20)
@@ -349,12 +375,24 @@ class TestOuterPower:
         ts = np.array([0.0, 0.5, 3.0])
         assert np.array_equal(g.outer_power(1.0).psi_deriv(ts, 2), g.psi_deriv(ts, 2))
 
-    def test_gumbel_is_outer_power_of_independence(self):
-        theta = 2.5
+    @pytest.mark.parametrize("theta", [1.0, 2.0, 2.5])
+    def test_gumbel_is_outer_power_of_independence(self, theta):
+        # one set of kernels: every value bit for bit, also at a subnormal tilt
         op = generator("independence").outer_power(1.0 / theta)
         g = generator("gumbel", theta)
-        ts = np.linspace(0.0, 30.0, 61)
-        assert_allclose(np.asarray(op.psi(ts)), np.asarray(g.psi(ts)), atol=1e-14)
+        ts = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 40)])
+        u = np.concatenate([[0.0], np.geomspace(1e-300, 1.0, 41)])
+
+        def same(f):
+            assert np.asarray(f(g)).tobytes() == np.asarray(f(op)).tobytes()
+
+        for f in (lambda x: x.psi(ts), lambda x: x.log_psi(ts), lambda x: x.psi_inv(u),
+                  lambda x: x.psi_deriv(ts, 1), lambda x: x.psi_deriv(ts, 2)):
+            same(f)
+        for h in (0.3, 80.0, 5e-320):
+            same(lambda x: x.tilt(h).psi_inv(u))
+            same(lambda x: sample_frailty(x, h, rng_stream(3), size=500))
+        same(lambda x: sample_frailty(x, 0.0, rng_stream(3), size=500))
 
     def test_composition_multiplies_exponents(self):
         g = generator("clayton", 2.0)

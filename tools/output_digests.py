@@ -10,11 +10,12 @@ found on the import path:
   family, plain and outer-powered, on fixed grids; ``log1mexp`` on a grid
   across its branch point -log 2 (as a scalar, 0-d, 1-d and 2-d), and Frank's
   and Joe's ``log_psi`` across the exponential tail they take past t = 700;
-* a fixed model zoo (every family, outer power, nests, Marshall-Olkin,
-  survival and both fixed points): the bytes of each model's
-  ``model_to_dict`` spec and of that spec loaded and written again,
-  truncated CDFs on a fixed grid, by the model's own form and by bisection
-  (also on a 640-point grid, wide enough for the bisection's node table),
+* a fixed model zoo (every family, outer power, nests of plain and
+  outer-power generators, Marshall-Olkin, survival and both fixed points):
+  the bytes of each model's ``model_to_dict`` spec and of that spec loaded
+  and written again, truncated CDFs on a fixed grid, by the model's own form
+  and by bisection (also on a 640-point grid, wide enough for the bisection's
+  node table),
   ``sample_truncated`` rows with their meta, the raw ``oracle_sample`` rows
   with their meta, a composed truncation's CDF and rows, the CDF
   of a bisection truncation composed again, section inverses, for nested
@@ -23,14 +24,18 @@ found on the import path:
   at a threshold of either case;
 * the truncated Kendall law of six families, plain and outer-powered, at
   d = 2 and 3, on a u grid down to the least subnormal;
-* float64 edges: every family's tilted inverse at tilts 600 and 5e-320 with
-  u down to 1e-300, and truncations whose tilt is huge (Frank at t = 1e-30)
-  or subnormal (Gumbel(20) and an outer power with alpha 0.05 at t near 1);
+* float64 edges: every family's tilted inverse, plain and outer-powered
+  (alpha 1 and 0.6), at tilts 600 and 5e-320 with u down to 1e-300, and
+  truncations whose tilt is huge (Frank at t = 1e-30) or subnormal
+  (Gumbel(20), its outer power with alpha 1 and Clayton's with alpha 0.05 at
+  t near 1);
 * every CLI command, run in-process into a temporary directory: the bytes
   of each file it writes, and its exit code.
 
-The second form prints the keys whose digests differ or that only one file
-has, and exits 1 if there are any.  Only numpy and the stdlib are used.
+A sample whose sampler raises is recorded as "raises <exception>" under each
+of its keys.  The second form prints the keys whose digests differ or that
+only one file has, and exits 1 if there are any.  Only numpy and the stdlib
+are used.
 """
 
 from __future__ import annotations
@@ -133,6 +138,10 @@ def _model_zoo(tr):
             nest(g("gumbel", 2.0), [(g("gumbel", 2.0), 1), (g("gumbel", 4.0), 2)]),
             [0.9, 0.5, 0.5], [0.7, 0.6, 0.5],
         ),
+        "nested-op-clayton": (
+            nest(g("clayton", 2.0, 0.8), [(g("clayton", 2.0, 0.5), 2), (g("clayton", 2.0, 0.6), 1)]),
+            [0.5, 0.6, 0.7], [0.7, 0.6, 0.5],
+        ),
         "nested-independence": (
             nest(g("independence"), [(g("clayton", 2.0), 2), (g("gumbel", 3.0), 1)]),
             [0.5, 0.6, 0.9], [0.7, 0.6, 0.5],
@@ -150,7 +159,7 @@ def _edges(tr):
     u = np.geomspace(1e-300, 1.0, 61)
     out = {}
     for fam, theta in _FAMS:
-        for alpha in (None, 0.6):
+        for alpha in (None, 1.0, 0.6):
             g = tr.generator(fam, theta, alpha)
             for h in (600.0, 5e-320):
                 out[f"edge/gen/{fam}({theta})/op({alpha})/tilt({h})/psi_inv"] = _array_digest(
@@ -160,6 +169,7 @@ def _edges(tr):
         "frank-tiny-t": (arch(tr.generator("frank", 4.0)), [1e-30, 1e-30]),
         "gumbel20-near-one": (arch(tr.generator("gumbel", 20.0)), near_one),
         "op-clayton-near-one": (arch(tr.generator("clayton", 2.0, 0.05)), near_one),
+        "op-gumbel20-near-one": (arch(tr.generator("gumbel", 20.0, 1.0)), near_one),
     }
     grid = np.concatenate([np.random.default_rng(0).random((64, 2)),
                            np.column_stack([np.geomspace(1e-300, 1.0, 16), np.full(16, 0.5)])])
@@ -187,6 +197,21 @@ def _kendall(tr):
     return out
 
 
+def _rows(sm):
+    """Digests of a sample's rows and of its meta."""
+    return _array_digest(sm.data), _json_digest(sm.meta)
+
+
+def _guarded(out, keys, fn):
+    """out[keys] = fn(), or for each key the exception fn raises, so that --diff lists it."""
+    try:
+        values = fn()
+    except Exception as e:  # any tree's fault, recorded for --diff and reported
+        print(f"{keys[0]}: raises {e!r}", file=sys.stderr)
+        values = [f"raises {type(e).__name__}"] * len(keys)
+    out.update(zip(keys, values))
+
+
 def _models(tr):
     out = {}
     for k, (name, (m, t, s)) in enumerate(_model_zoo(tr).items()):
@@ -203,16 +228,14 @@ def _models(tr):
         # 640 points: enough for the full node table of the numeric section inverse
         wide = np.random.default_rng([k, 3]).random((640, m.d))
         out[f"{key}/bisect-cdf-wide"] = _array_digest(bisect.cdf(wide))
-        sm = tr.sample_truncated(tc, 400, tr.rng_stream(k))
-        out[f"{key}/sample"] = _array_digest(sm.data)
-        out[f"{key}/sample-meta"] = _json_digest(sm.meta)
-        raw = tr.oracle_sample(m, t, 400, tr.rng_stream(k, 2))
-        out[f"{key}/oracle"] = _array_digest(raw.data)
-        out[f"{key}/oracle-meta"] = _json_digest(raw.meta)
+        _guarded(out, [f"{key}/sample", f"{key}/sample-meta"],
+                 lambda: _rows(tr.sample_truncated(tc, 400, tr.rng_stream(k))))
+        _guarded(out, [f"{key}/oracle", f"{key}/oracle-meta"],
+                 lambda: _rows(tr.oracle_sample(m, t, 400, tr.rng_stream(k, 2))))
         composed = tr.truncate_general(tc, s)
         out[f"{key}/composed-cdf"] = _array_digest(composed.cdf(grid))
-        out[f"{key}/composed-sample"] = _array_digest(
-            tr.sample_truncated(composed, 200, tr.rng_stream(k, 1)).data)
+        _guarded(out, [f"{key}/composed-sample"],
+                 lambda: [_array_digest(tr.sample_truncated(composed, 200, tr.rng_stream(k, 1)).data)])
         out[f"{key}/composed-bisect-cdf"] = _array_digest(tr.truncate_general(bisect, s).cdf(grid))
         if tc.form == "marshall-olkin":
             # case 1 (t2^a2 <= t1^a1): the curve leaves the square through u2 = 1
