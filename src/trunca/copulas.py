@@ -102,6 +102,11 @@ def _inside(u, t):
     return ok
 
 
+def _rows_inside(u, t):
+    """The rows of u inside [0, t], in order, gathered by index (a boolean mask gathers slower)."""
+    return u.take(np.flatnonzero(_inside(u, t)), axis=0)
+
+
 class CopulaModel:
     """Base class: CDF evaluation plus coordinate sections and their inverses."""
 
@@ -122,8 +127,7 @@ class CopulaModel:
 
     def _propose(self, n, t, rng):
         """The rows inside [0, t] of n rows drawn from the model, in draw order."""
-        u = self._sample(n, rng)
-        return u[_inside(u, t)]
+        return _rows_inside(self._sample(n, rng), t)
 
     def cdf(self, u):
         """C(u) for a point (d,) or a stack of points (n, d)."""
@@ -234,10 +238,9 @@ def _itp_section_inv(model, j, y, t, top):
         done = w <= width
         if done.any():
             # a converged row leaves with its left end, the inf-form generalized inverse
-            out[rows[done]] = lo[done]
-            keep = ~done
-            rows, y, w = rows[keep], y[keep], w[keep]
-            lo, hi, f_lo, f_hi = lo[keep], hi[keep], f_lo[keep], f_hi[keep]
+            gone, keep = np.flatnonzero(done), np.flatnonzero(~done)
+            out[rows.take(gone)] = lo.take(gone)
+            rows, y, w, lo, hi, f_lo, f_hi = (a.take(keep) for a in (rows, y, w, lo, hi, f_lo, f_hi))
         if rows.size == 0:
             break
         mid = 0.5 * (lo + hi)
@@ -464,8 +467,8 @@ class NestedArchimedeanCopula(CopulaModel):
             # the public psi, as in sample_archimedean: its scan rejects 0/0 rows
             out[:, sl] = np.asarray(g.psi(e / vs[:, None]))
             if np.any(t[sl] < 1.0):
-                ok = _inside(out[:, sl], t[sl])
-                out, v0 = out[ok], v0[ok]
+                ok = np.flatnonzero(_inside(out[:, sl], t[sl]))
+                out, v0 = out.take(ok, axis=0), v0.take(ok)
         return out
 
     def __repr__(self):
@@ -543,11 +546,11 @@ class MarshallOlkinCopula(CopulaModel):
         cut = bool(np.any(t < 1.0))
         if cut:
             top = [t[0] ** (1.0 - a1), t[1] ** (1.0 - a2), min(t[0] ** a1, t[1] ** a2)]
-            z = z[_inside(z, np.multiply(top, 1.0 + 1e-12))]
+            z = _rows_inside(z, np.multiply(top, 1.0 + 1e-12))
         u1 = np.maximum(z[:, 0] ** (1.0 / (1.0 - a1)), z[:, 2] ** (1.0 / a1))
         u2 = np.maximum(z[:, 1] ** (1.0 / (1.0 - a2)), z[:, 2] ** (1.0 / a2))
         u = np.column_stack([u1, u2])
-        return u[_inside(u, t)] if cut else u
+        return _rows_inside(u, t) if cut else u
 
     def __repr__(self):
         return f"MarshallOlkinCopula({self.alpha1!r}, {self.alpha2!r})"

@@ -150,10 +150,11 @@ def _tilted_sibuya(alpha, p, logp, rng, n):
                 # no beta draw at V = 1, where 0 * log(1 - P) would be NaN at P = 1
                 acc = v == 1.0
                 big = np.flatnonzero(~acc)
-                acc[big] = logu[big] <= (v[big] - 1.0) * _sibuya_log_q(alpha, rng, big.size)
-        out[pending[acc]] = v[acc]
+                acc[big] = logu.take(big) <= (v.take(big) - 1.0) * _sibuya_log_q(alpha, rng, big.size)
+        hit = np.flatnonzero(acc)
+        out[pending.take(hit)] = v.take(hit)
         proposals += k
-        pending = pending[~acc]
+        pending = pending.take(np.flatnonzero(~acc))
     return out, proposals
 
 
@@ -210,18 +211,22 @@ def sample_tilted_stable(alpha, h, rng, size):
     if alpha == 1.0:
         return np.ones(n)
 
-    out = np.empty(n)
     zero = h == 0.0
-    if np.any(zero):
-        out[zero] = sample_stable(alpha, rng, size=int(zero.sum()))
+    n_zero = np.count_nonzero(zero)
+    if n_zero == n:
+        return sample_stable(alpha, rng, size=n)
+    out = np.empty(n)
+    if n_zero:
+        out[np.flatnonzero(zero)] = sample_stable(alpha, rng, size=n_zero)
     lam = np.power(h, alpha)
     pending = np.flatnonzero(~zero & (lam < 1.5))
     while pending.size:
         s = sample_stable(alpha, rng, size=pending.size)
         with np.errstate(divide="ignore"):
-            acc = np.log(rng.random(pending.size)) <= -h[pending] * s
-        out[pending[acc]] = s[acc]
-        pending = pending[~acc]
+            acc = np.log(rng.random(pending.size)) <= -h.take(pending) * s
+        hit = np.flatnonzero(acc)
+        out[pending.take(hit)] = s.take(hit)
+        pending = pending.take(np.flatnonzero(~acc))
     strong = np.flatnonzero(lam >= 1.5)
     if strong.size:
         out[strong] = _double_rejection(alpha, lam[strong], rng)[0]
@@ -311,7 +316,7 @@ def _double_rejection(alpha, lam, rng):
         last = log_h.size - 1
         while rows.size:
             k = rows.size
-            lk = lam[rows]
+            lk = lam.take(rows)
             # the hat's inverse cdf is piecewise linear; 1 - random is in (0, 1], so u is in (0, pi]
             u = np.interp((1.0 - rng.random(k)) * cum[-1], cum, edges)
             i = np.minimum(u / width, last).astype(np.intp)
@@ -321,7 +326,7 @@ def _double_rejection(alpha, lam, rng):
                 e = rng.standard_exponential(k) + np.log(mass) - lk * (x2 - 1.0) - log_h[i]
             ok = np.flatnonzero(e >= 0.0)
             outer += ok.size
-            m, delta, z, mass, e, lk, x2 = (v[ok] for v in (m, delta, z, mass, e, lk, x2))
+            m, delta, z, mass, e, lk, x2 = (v.take(ok) for v in (m, delta, z, mass, e, lk, x2))
             j = ok.size
             pick = rng.random(j) * mass
             nrm = rng.standard_normal(j)
@@ -334,12 +339,14 @@ def _double_rejection(alpha, lam, rng):
             with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
                 # phi_U(E) - phi_U(m) at E = m (1 + d)
                 excess = m * (d + np.expm1(-b * np.log1p(d)) / b)
-            acc = (d > -1.0) & (excess - drop <= e)
+            acc = np.flatnonzero((d > -1.0) & (excess - drop <= e))
+            hit = ok.take(acc)
+            x2, lk, d = (v.take(acc) for v in (x2, lk, d))
             # S = (A(U) / E)^b = alpha x2 (lambda (1 + d))^(-b)
-            out[rows[ok[acc]]] = alpha * x2[acc] * (lk[acc] * (1.0 + d[acc])) ** -b
+            out[rows.take(hit)] = alpha * x2 * (lk * (1.0 + d)) ** -b
             keep = np.ones(k, dtype=bool)
-            keep[ok[acc]] = False
-            rows = rows[keep]
+            keep[hit] = False
+            rows = rows.take(np.flatnonzero(keep))
     return out, outer
 
 

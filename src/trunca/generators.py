@@ -83,8 +83,9 @@ def _where(cond, f, g, x):
     common, other = (f, g) if 2 * n > x.size else (g, f)
     out = np.asarray(common(x))
     if 0 < n < x.size:
-        mask = ~cond if common is f else cond
-        out[mask] = other(x[mask])
+        # by flat index, not boolean mask; put, because out need not be C-contiguous
+        idx = np.flatnonzero(~cond if common is f else cond)
+        out.put(idx, other(x.take(idx)))
     return out
 
 

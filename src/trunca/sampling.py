@@ -2,7 +2,8 @@
 
 Each model class draws its own rows in ``_sample`` (see ``copulas``);
 Archimedean models use the frailty construction of
-:func:`sample_archimedean`.  :func:`sample_model` checks ``n`` and calls it.
+:func:`sample_archimedean`.  :func:`sample_model` checks ``n`` and calls it
+once per block.
 A truncation that is a model again (the "tilted-frailty", "closed-model" and
 "product" routes) samples as that model, ``tc.model``: a truncated
 Archimedean copula is the Archimedean copula of the tilted generator.  The
@@ -12,6 +13,13 @@ is tested against, on the rows each model's ``_propose`` keeps inside ``t``.
 Which route a truncated copula takes is its ``route``, named by the model's
 ``_truncate`` that built it (a nest's by its root generator);
 ``sample_truncated`` only follows it and records it.
+
+Every route draws, proposes and maps its rows in blocks of ``_BLOCK_ROWS``
+(2^15) rows into one preallocated (n, d) output, so its working memory on
+top of the output is one block's temporaries whatever n is (the oracle's
+raw rows are one more (n, d) array); the frailty samplers are building
+blocks, in memory linear in their size.  n <= 2^15 rows are one block,
+drawn as one call; a seed reproduces its rows for a given n.
 """
 
 from __future__ import annotations
@@ -40,8 +48,8 @@ __all__ = [
 ]
 
 _CSV_BLOCK_ROWS = 4096
-# the most proposals one oracle pass holds in memory; more passes make up the rest
-_ORACLE_PASS_MAX = 250_000
+# rows drawn, mapped or proposed (one oracle pass) at a time
+_BLOCK_ROWS = 2**15
 
 
 @dataclass
@@ -76,23 +84,39 @@ def _rows_wanted(n):
     return n
 
 
+def _blockwise(rows, n, d):
+    """The (n, d) array of ``rows(start, stop)``, called on blocks of at most
+    ``_BLOCK_ROWS`` rows in order; n <= ``_BLOCK_ROWS`` is one call, returned as is."""
+    if n <= _BLOCK_ROWS:
+        return rows(0, n)
+    out = np.empty((n, d))
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        out[start:stop] = rows(start, stop)
+    return out
+
+
 def sample_archimedean(gen, d, n, rng):
     """Frailty construction: U_j = psi(E_j / V), E_j iid Exp(1), V ~ LS^-1[psi].
 
     ``gen`` may be tilted or outer-power; the matching (tilted) frailty is
-    drawn per row.  Returns an (n, d) array.
+    drawn per row, one block of rows at a time.  Returns an (n, d) array.
     """
-    n = _rows_wanted(n)
-    v = sample_frailty(gen, 0.0, rng, size=n)
-    e = rng.standard_exponential((n, _whole(d)))
-    # the public psi, not _psi: its one scan per call is what turns a 0/0 row
-    # (a frailty that under- or overflowed) into an error, not a NaN row
-    return np.asarray(gen.psi(e / v[:, None]))
+    n, d = _rows_wanted(n), _whole(d)
+
+    def rows(start, stop):
+        v = sample_frailty(gen, 0.0, rng, size=stop - start)
+        e = rng.standard_exponential((v.size, d))
+        # the public psi, not _psi: its one scan per call is what turns a 0/0 row
+        # (a frailty that under- or overflowed) into an error, not a NaN row
+        return gen.psi(e / v[:, None])
+
+    return _blockwise(rows, n, d)
 
 
 def sample_model(model, n, rng):
-    """n rows from a model (a closed truncation too) by its ``_sample``, as a plain array."""
-    return model._sample(_rows_wanted(n), rng)
+    """n rows from a model (a closed truncation too), one ``_sample`` call per block."""
+    return _blockwise(lambda start, stop: model._sample(stop - start, rng), _rows_wanted(n), model.d)
 
 
 def oracle_sample(model, t, n, rng):
@@ -102,10 +126,12 @@ def oracle_sample(model, t, n, rng):
     them through :func:`transform_margins` to reach the truncated copula
     scale.  Each pass proposes min(1.25 need, need + 3 sqrt(need)) / C(t)
     rows for the ``need`` rows still missing, about (1 + 3/sqrt(n)) / C(t)
-    proposals per kept row, clipped to [1024, 2.5e5] (``_ORACLE_PASS_MAX``)
-    so that a pass's memory is bounded at any C(t).  The budget is
-    100 n / C(t) proposals, after which a diagnostic error reports the
-    observed acceptance rate against C(t).
+    proposals per kept row, clipped to [1024, 2^15] (one block,
+    ``_BLOCK_ROWS``) so that a pass's memory is bounded at any C(t), and
+    writes the first ``need`` rows it keeps into the (n, d) output; ``meta``
+    counts every kept proposal as accepted, the surplus of the last pass too.
+    The budget is 100 n / C(t) proposals, after which a diagnostic error
+    reports the observed acceptance rate against C(t).
 
     ``model._propose`` keeps the proposals inside [0, t]: a kept row costs
     about 1 / C(t) whole draws, except that a nest drops a proposal at its
@@ -115,13 +141,12 @@ def oracle_sample(model, t, n, rng):
     n = _rows_wanted(n)
     tp = TruncationPoint.make(model, t)
     max_tries = int(np.ceil(100.0 * n / tp.c_of_t))
-    chunks = []
-    kept = 0
-    proposals = 0
+    raw = np.empty((n, model.d))
+    kept = accepted = proposals = 0
     while kept < n:
         need = n - kept
         batch = np.ceil(min(1.25 * need, need + 3.0 * np.sqrt(need)) / tp.c_of_t)
-        b = min(int(np.clip(batch, 1024, _ORACLE_PASS_MAX)), max_tries - proposals)
+        b = min(int(np.clip(batch, 1024, _BLOCK_ROWS)), max_tries - proposals)
         if b <= 0:
             rate = kept / proposals if proposals else float("nan")
             raise SamplingError(
@@ -130,34 +155,36 @@ def oracle_sample(model, t, n, rng):
                 f"C(t) = {tp.c_of_t:.4g})"
             )
         u = model._propose(b, tp.t, rng)
-        chunks.append(u)
-        kept += u.shape[0]
+        raw[kept:kept + u.shape[0]] = u[:need]
+        accepted += u.shape[0]
+        kept = min(accepted, n)
         proposals += b
-    raw = np.vstack(chunks)
     meta = {
         "method": "oracle",
         "proposals": proposals,
-        "accepted": int(raw.shape[0]),
-        "accept_rate": raw.shape[0] / proposals,
+        "accepted": accepted,
+        "accept_rate": accepted / proposals,
         "c_of_t": tp.c_of_t,
     }
-    return SampleMatrix(raw[:n], meta)
+    return SampleMatrix(raw, meta)
 
 
 def transform_margins(raw, model, t):
     """Map conditional rows x in [0, t] through F_{t,j}(x) = C(x; t_-j)/C(t).
 
-    The output rows follow the truncated copula itself.
+    The output rows, mapped one block at a time, follow the truncated copula.
     """
     tp = TruncationPoint.make(model, t)
     X = np.asarray(raw, dtype=float)
     for col, tj in zip(X.T, tp.t, strict=True):
         _check_range(col, 0.0, tj + 1e-9, "rows must lie inside [0, t]")
-    cols = [
-        np.atleast_1d(model.margin_section(j, X[:, j], tp.t)) / tp.c_of_t
-        for j in range(model.d)
-    ]
-    out = np.clip(np.column_stack(cols), 0.0, 1.0)
+
+    def rows(start, stop):
+        return np.column_stack([model.margin_section(j, X[start:stop, j], tp.t) for j in range(model.d)])
+
+    out = _blockwise(rows, *X.shape)
+    out /= tp.c_of_t
+    np.clip(out, 0.0, 1.0, out=out)
     meta = dict(raw.meta) if isinstance(raw, SampleMatrix) else {}
     meta["margins"] = "truncated"
     return SampleMatrix(out, meta)
@@ -181,7 +208,7 @@ def sample_truncated(tc, n, rng):
         raw = oracle_sample(tc.source, tc.point, n, rng)
         sm = transform_margins(raw, tc.source, tc.point)
     else:
-        sm = SampleMatrix(tc._sample(n, rng))
+        sm = SampleMatrix(sample_model(tc, n, rng))
     sm.meta["method"] = tc.route
     sm.meta["form"] = tc.form
     return sm

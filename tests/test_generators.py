@@ -183,6 +183,7 @@ _LOG1MEXP_VALUES = st.one_of(
                               elements=_LOG1MEXP_VALUES)))
 @example(x=np.array(_LN2_ULPS))
 @example(x=np.array([[-0.0, -745.0], [-np.inf, np.nan], [0.5, _LN2_ULPS[3]]]))
+@example(x=np.array([[-0.0, -745.0, -0.1], [-np.inf, -1.0, _LN2_ULPS[3]]]).T)  # not C-contiguous
 def test_log1mexp_is_the_two_branch_formula(x):
     # each branch runs only on its own values, with the same bits, shape and type
     got, want = log1mexp(x), _two_branch_log1mexp(x)

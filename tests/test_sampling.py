@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,13 +26,14 @@ from trunca import (
     sample_archimedean,
     sample_model,
     sample_truncated,
+    survival,
     transform_margins,
     truncate_general,
     write_csv,
     write_meta,
 )
 from trunca.copulas import _inside
-from trunca.sampling import _CSV_BLOCK_ROWS
+from trunca.sampling import _BLOCK_ROWS, _CSV_BLOCK_ROWS
 
 
 def tau_se(n):
@@ -244,7 +246,8 @@ class TestOracle:
         assert abs(meta["accept_rate"] - c) <= 4 * np.sqrt(c * (1 - c) / meta["proposals"])
 
     def test_pass_holds_at_most_the_cap(self, monkeypatch):
-        # at C(t) = 0.02 one pass of (n + 3 sqrt(n)) / C(t) would hold 261,226 proposals
+        # at C(t) = 0.02 one pass of (n + 3 sqrt(n)) / C(t) would hold 261,226 proposals,
+        # more than one block of rows
         passes = []
         propose = MarshallOlkinCopula._propose
 
@@ -256,7 +259,7 @@ class TestOracle:
         sm = oracle_sample(MarshallOlkinCopula(0.3, 0.6), (0.1, 0.1), 5000, rng_stream(1))
         assert sm.meta["c_of_t"] == pytest.approx(0.02, rel=0.01)
         assert sm.n == 5000 and sum(passes) == sm.meta["proposals"]
-        assert len(passes) >= 2 and max(passes) <= 250_000
+        assert len(passes) >= 2 and max(passes) == _BLOCK_ROWS
 
     @settings(max_examples=200)
     @given(data=st.data(), n=st.integers(1, 40), d=st.integers(2, 7))
@@ -406,6 +409,76 @@ class TestSampleTruncated:
         sm = sample_truncated(tc, 50_000, rng_stream(17))
         for j in range(2):
             assert kstest(sm.data[:, j], "uniform").pvalue > 0.01
+
+
+class TestBlocks:
+    """Every route draws, proposes and maps its rows in blocks of ``_BLOCK_ROWS``."""
+
+    @pytest.mark.parametrize("case", ["gumbel", "op-clayton-d3", "survival-gumbel", "sample_archimedean"])
+    def test_memory_flat_in_n(self, case):
+        # a strong tilt (C(t) = 0.037 here) keeps about 200 bytes of temporaries
+        # per row: without blocks, 2e5 rows would peak several times above the output
+        gumbel = truncate_general(ArchimedeanCopula(generator("gumbel", 1.92), 2), [0.1, 0.1])
+        tc = {
+            "gumbel": gumbel,
+            "op-clayton-d3": truncate_general(
+                ArchimedeanCopula(generator("clayton", 1.47, 0.6), 3), [0.3] * 3),
+            "survival-gumbel": truncate_general(
+                survival(ArchimedeanCopula(generator("gumbel", 2.0), 2)), [0.5, 0.5]),
+        }.get(case)
+        assert tc is None or tc.route == ("oracle" if case == "survival-gumbel" else "tilted-frailty")
+
+        def draw(n):
+            if tc is None:
+                return sample_archimedean(gumbel.model.generator, 3, n, rng_stream(4))
+            return sample_truncated(tc, n, rng_stream(4)).data
+
+        draw(10)
+        tracemalloc.start()
+        try:
+            u = draw(200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output, the oracle's raw rows, and one block's temporaries
+        assert peak <= 2 * u.nbytes + 8 * 2**20
+
+    @pytest.mark.parametrize("model,t", [
+        (ArchimedeanCopula(generator("clayton", 2.0), 2), [0.5, 0.5]),
+        (NestedArchimedeanCopula(generator("independence"),
+                                 [(generator("clayton", 2.0), 2), (generator("gumbel", 3.0), 1)]),
+         [0.5, 0.6, 0.9]),
+    ], ids=["tilted-frailty", "product"])
+    def test_closed_route_layout(self, model, t):
+        # rows past the first block do not change the first block's, and each
+        # block is one _sample call on the same stream
+        tc = truncate_general(model, t)
+        n = 2 * _BLOCK_ROWS + 1
+        u = sample_truncated(tc, n, rng_stream(6)).data
+        assert u.shape == (n, model.d)
+        assert np.array_equal(u[:_BLOCK_ROWS], sample_truncated(tc, _BLOCK_ROWS, rng_stream(6)).data)
+        rng = rng_stream(6)
+        blocks = [tc._sample(k, rng) for k in (_BLOCK_ROWS, _BLOCK_ROWS, 1)]
+        assert np.array_equal(u, np.vstack(blocks))
+
+    def test_oracle_pass_layout(self):
+        # the documented pass sizes, each capped at one block; the kept rows in
+        # proposal order, and the surplus of the last pass counted as accepted
+        m, n, t = MarshallOlkinCopula(0.3, 0.6), 2000, np.array([0.1, 0.1])
+        sm = oracle_sample(m, t, n, rng_stream(7))
+        c = sm.meta["c_of_t"]
+        assert c == pytest.approx(0.02, rel=0.01)
+        rng, kept, proposals = rng_stream(7), [], 0
+        while sum(map(len, kept)) < n:
+            need = n - sum(map(len, kept))
+            b = int(np.clip(np.ceil(min(1.25 * need, need + 3.0 * np.sqrt(need)) / c), 1024, _BLOCK_ROWS))
+            kept.append(m._propose(b, t, rng))
+            proposals += b
+        assert len(kept) >= 3
+        rows = np.vstack(kept)
+        assert np.array_equal(sm.data, rows[:n])
+        assert sm.meta == {"method": "oracle", "proposals": proposals, "accepted": len(rows),
+                           "accept_rate": len(rows) / proposals, "c_of_t": c}
 
 
 class TestComonotoneAndModelSampling:

@@ -24,6 +24,9 @@ found on the import path:
   at a threshold of either case;
 * the truncated Kendall law of six families, plain and outer-powered, at
   d = 2 and 3, on a u grid down to the least subnormal;
+* ``sample_truncated`` rows and meta at n = 2 * 2^15 + 1, three sampling
+  blocks, on a closed route (truncated Clayton) and the oracle route
+  (truncated Marshall-Olkin, margins mapped too);
 * float64 edges: every family's tilted inverse, plain and outer-powered
   (alpha 1 and 0.6), at tilts 600 and 5e-320 with u down to 1e-300, and
   truncations whose tilt is huge (Frank at t = 1e-30) or subnormal
@@ -197,6 +200,19 @@ def _kendall(tr):
     return out
 
 
+def _blocks(tr):
+    """Samples of three blocks of 2^15 rows, the last of one row, by a closed and the oracle route."""
+    n = 2 * 2**15 + 1
+    cases = {"clayton": (tr.ArchimedeanCopula(tr.generator("clayton", 2.0), 2), [0.5, 0.5]),
+             "marshall-olkin": (tr.MarshallOlkinCopula(0.2, 0.7), [0.6, 0.9])}
+    out = {}
+    for k, (name, (m, t)) in enumerate(cases.items()):
+        tc = tr.truncate_general(m, t)
+        _guarded(out, [f"blocks/{name}/{tc.route}", f"blocks/{name}/{tc.route}-meta"],
+                 lambda: _rows(tr.sample_truncated(tc, n, tr.rng_stream(k, 4))))
+    return out
+
+
 def _rows(sm):
     """Digests of a sample's rows and of its meta."""
     return _array_digest(sm.data), _json_digest(sm.meta)
@@ -349,7 +365,7 @@ def digests():
     import trunca as tr
 
     return {**_generators(tr), **_branches(tr), **_models(tr), **_edges(tr), **_kendall(tr),
-            **_cli(tr)}
+            **_blocks(tr), **_cli(tr)}
 
 
 def diff(a_path, b_path):
