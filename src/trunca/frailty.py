@@ -4,13 +4,16 @@ Every Archimedean generator is the Laplace-Stieltjes transform of a frailty
 law F; tilting the generator by h reweights F by ``e^{-h v}`` (normalized by
 ``psi(h)``).  This module holds the laws only and imports nothing from the
 rest of the package: each generator class picks its law in ``_frailty``.
-numpy supplies the gamma and geometric laws.  Mixtures of geometric laws,
-``V = ceil(E / -log Q)`` for a random ``Q`` (``_geometric``), give the
-log-series law of Frank (``Q = 1 - (1 - p)^U``) and the Sibuya law
-(``Q = 1 - P``, ``P ~ Beta(alpha, 1 - alpha)``) in O(1) work per draw.  This
-module adds the Sibuya law and its tilt (a two-envelope rejection with
-overall constant below 1/(1 - 1/e) ~ 1.582), and the positive stable law and
-its exponential tilt.  The tilted stable law, the frailty of every truncated
+numpy supplies only the gamma, beta and continuous laws; every discrete law
+is a geometric law or a mixture of them, in O(1) work per draw.
+``_geometric`` draws ``V = ceil(E / -log q)``, P(V > k) = q^k: AMH's
+geometric law (a fixed q) and the Sibuya law (``q = 1 - P``,
+``P ~ Beta(alpha, 1 - alpha)``).  ``_log_series`` draws the log-series law
+of Frank by Kemp's mixture (``q = 1 - (1 - p)^U``), which also proposes for
+the tilted Sibuya law (a two-envelope rejection with overall constant below
+1/(1 - 1/e) ~ 1.582).  The module also holds ``log1mexp``, with which both
+it and the generators work, and the positive stable law and its
+exponential tilt.  The tilted stable law, the frailty of every truncated
 Gumbel and outer-power model, is exact at every tilt: fast rejection where
 lambda = h^alpha < 1.5, at about e^lambda stable proposals per draw, and
 Devroye's double rejection from 1.5 up, at 1.1-1.6 outer iterations per draw
@@ -61,7 +64,35 @@ def rng_stream(seed, stream=0):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+_LOG2 = 0.6931471805599453
 _SIB_MAX = 1e300
+
+
+def _where(cond, f, g, x):
+    """``np.where(cond, f(x), g(x))`` bit for bit, as an array of x's shape (0-d included),
+    each branch evaluated only where it is taken: the more common one on all of x, the
+    other under its mask."""
+    x, cond = np.asarray(x, dtype=float), np.asarray(cond)
+    n = np.count_nonzero(cond)
+    common, other = (f, g) if 2 * n > x.size else (g, f)
+    out = np.asarray(common(x))
+    if 0 < n < x.size:
+        # by flat index, not boolean mask; put, because out need not be C-contiguous
+        idx = np.flatnonzero(~cond if common is f else cond)
+        out.put(idx, other(x.take(idx)))
+    return out
+
+
+def log1mexp(x):
+    """log(1 - exp(x)) for x <= 0, stable near both endpoints.
+
+    Uses ``log(-expm1(x))`` for x > -log 2 and ``log1p(-exp(x))`` otherwise,
+    each only on the values that take it.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _where(x > -_LOG2, lambda y: np.log(-np.expm1(y)),
+                      lambda y: np.log1p(-np.exp(y)), x)
 
 
 def _geometric(log_q, rng):
@@ -74,6 +105,20 @@ def _geometric(log_q, rng):
     with np.errstate(divide="ignore"):
         v = np.ceil(rng.standard_exponential(log_q.size) / -log_q)
     return np.clip(v, 1.0, _SIB_MAX)
+
+
+def _log_series(log_r, rng, n):
+    """n log-series draws, P(V = k) proportional to p^k / k, given log r = log(1 - p).
+
+    Kemp's (1981) mixture: V is geometric given q = 1 - r^U1 <= p, drawn as
+    1 + floor(log U2 / log q), so U2 >= p gives 1 and U1 is drawn only where U2 < p.
+    """
+    u = rng.random(n)
+    big = np.flatnonzero(u < -np.expm1(log_r))
+    v = np.ones(n)
+    with np.errstate(divide="ignore"):
+        v[big] = 1.0 + np.floor(np.log(u.take(big)) / log1mexp(rng.random(big.size) * log_r))
+    return np.minimum(v, _SIB_MAX, out=v)
 
 
 def _sibuya_log_q(alpha, rng, size):
@@ -145,7 +190,7 @@ def _tilted_sibuya(alpha, p, logp, rng, n):
                 v = sample_sibuya(alpha, rng, size=k)
                 acc = np.log(rng.random(k)) <= (v - 1.0) * logp
             else:
-                v = rng.logseries(p, size=k).astype(float)
+                v = _log_series(np.log1p(-p), rng, k)
                 logu = np.log(rng.random(k))
                 # no beta draw at V = 1, where 0 * log(1 - P) would be NaN at P = 1
                 acc = v == 1.0
@@ -297,56 +342,81 @@ def _u_hat(alpha, lam_lo, lam_hi):
     return edges, cum, width, log_h
 
 
+def _stage1(hat, r):
+    """Stage 1 on one hat, given 1 - uniform draws r: the angles U and the hat's log heights there."""
+    edges, cum, width, log_h = hat
+    # the hat's inverse cdf is piecewise linear; r is in (0, 1], so u is in (0, pi]
+    u = np.interp(r * cum[-1], cum, edges)
+    return u, log_h[np.minimum(u / width, log_h.size - 1).astype(np.intp)]
+
+
 def _double_rejection(alpha, lam, rng):
     """Tilted stable draws for tilts ``lam = h^alpha >= 1/2`` by double rejection.
 
     Rows share one stage-1 hat per band of lambda about sqrt(2) wide; stage
-    2 uses each row's own lambda, so every draw is exact.  A U accepted in
-    stage 1 leaves E = log q(U) - log hat(U) + Exp(1) >= 0, which is Exp(1)
-    again and serves as stage 2's test variable.  Returns the draws and the
-    number of outer iterations (stage-2 attempts).
+    2 uses each row's own lambda, so every draw is exact.  All bands run in
+    one loop, their rows grouped by band so that each band's stage 1 is one
+    slice of the pending rows.  A U accepted in stage 1 leaves E = log q(U) -
+    log hat(U) + Exp(1) >= 0, which is Exp(1) again and serves as stage 2's
+    test variable.  Returns the draws and the number of outer iterations
+    (stage-2 attempts).
     """
     b = (1.0 - alpha) / alpha
     out = np.empty(lam.size)
     outer = 0
     band = np.floor(2.0 * np.log2(lam / lam.min()))
-    for key in np.unique(band):
-        rows = np.flatnonzero(band == key)
-        edges, cum, width, log_h = _u_hat(alpha, lam[rows].min(), lam[rows].max())
-        last = log_h.size - 1
-        while rows.size:
-            k = rows.size
-            lk = lam.take(rows)
-            # the hat's inverse cdf is piecewise linear; 1 - random is in (0, 1], so u is in (0, pi]
-            u = np.interp((1.0 - rng.random(k)) * cum[-1], cum, edges)
-            i = np.minimum(u / width, last).astype(np.intp)
-            x2 = _zolotarev_x2(alpha, u)
-            m, delta, z, mass = _envelope(alpha, lk, x2)
-            with np.errstate(invalid="ignore"):
-                e = rng.standard_exponential(k) + np.log(mass) - lk * (x2 - 1.0) - log_h[i]
-            ok = np.flatnonzero(e >= 0.0)
-            outer += ok.size
-            m, delta, z, mass, e, lk, x2 = (v.take(ok) for v in (m, delta, z, mass, e, lk, x2))
-            j = ok.size
-            pick = rng.random(j) * mass
-            nrm = rng.standard_normal(j)
-            ex = rng.standard_exponential(j)
-            low = pick < _C1 * delta
-            high = pick >= (1.0 + _C1) * delta
-            step = np.where(low, -delta * np.abs(nrm), np.where(high, delta + z * ex, pick - _C1 * delta))
-            drop = np.where(low, 0.5 * nrm * nrm, np.where(high, ex, 0.0))
-            d = step / m
-            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                # phi_U(E) - phi_U(m) at E = m (1 + d)
-                excess = m * (d + np.expm1(-b * np.log1p(d)) / b)
-            acc = np.flatnonzero((d > -1.0) & (excess - drop <= e))
-            hit = ok.take(acc)
-            x2, lk, d = (v.take(acc) for v in (x2, lk, d))
-            # S = (A(U) / E)^b = alpha x2 (lambda (1 + d))^(-b)
-            out[rows.take(hit)] = alpha * x2 * (lk * (1.0 + d)) ** -b
-            keep = np.ones(k, dtype=bool)
-            keep[hit] = False
-            rows = rows.take(np.flatnonzero(keep))
+    if band.max() == 0.0:
+        rows, hats = np.arange(lam.size), [_u_hat(alpha, lam.min(), lam.max())]
+    else:
+        # rows grouped by band (a radix sort of the small band numbers), so that a
+        # band's pending rows are one slice, starting where its key is in seg
+        band = band.astype(np.int16)
+        rows = np.argsort(band, kind="stable")
+        seg = band.take(rows)
+        keys = np.flatnonzero(np.bincount(seg))
+        hats = [_u_hat(alpha, lb.min(), lb.max())
+                for lb in np.split(lam.take(rows), np.searchsorted(seg, keys[1:]))]
+    while rows.size:
+        k = rows.size
+        lk = lam.take(rows)
+        r = 1.0 - rng.random(k)
+        if len(hats) == 1:
+            u, log_h = _stage1(hats[0], r)
+        else:
+            u, log_h = np.empty(k), np.empty(k)
+            bounds = np.append(np.searchsorted(seg, keys), k)
+            for hat, lo, hi in zip(hats, bounds[:-1], bounds[1:]):
+                u[lo:hi], log_h[lo:hi] = _stage1(hat, r[lo:hi])
+        x2 = _zolotarev_x2(alpha, u)
+        m, delta, z, mass = _envelope(alpha, lk, x2)
+        with np.errstate(invalid="ignore"):
+            e = rng.standard_exponential(k) + np.log(mass) - lk * (x2 - 1.0) - log_h
+        ok = np.flatnonzero(e >= 0.0)
+        outer += ok.size
+        m, delta, z, mass, e, lk, x2 = (v.take(ok) for v in (m, delta, z, mass, e, lk, x2))
+        j = ok.size
+        pick = rng.random(j) * mass
+        nrm = rng.standard_normal(j)
+        ex = rng.standard_exponential(j)
+        low = pick < _C1 * delta
+        high = pick >= (1.0 + _C1) * delta
+        step = np.where(low, -delta * np.abs(nrm), np.where(high, delta + z * ex, pick - _C1 * delta))
+        drop = np.where(low, 0.5 * nrm * nrm, np.where(high, ex, 0.0))
+        d = step / m
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            # phi_U(E) - phi_U(m) at E = m (1 + d)
+            excess = m * (d + np.expm1(-b * np.log1p(d)) / b)
+        acc = np.flatnonzero((d > -1.0) & (excess - drop <= e))
+        hit = ok.take(acc)
+        x2, lk, d = (v.take(acc) for v in (x2, lk, d))
+        # S = (A(U) / E)^b = alpha x2 (lambda (1 + d))^(-b)
+        out[rows.take(hit)] = alpha * x2 * (lk * (1.0 + d)) ** -b
+        keep = np.ones(k, dtype=bool)
+        keep[hit] = False
+        rest = np.flatnonzero(keep)
+        rows = rows.take(rest)
+        if len(hats) > 1:
+            seg = seg.take(rest)
     return out, outer
 
 

@@ -2,8 +2,8 @@
 
 A family class carries the three facts truncation needs together: ``psi``
 (with its inverse and derivatives), the frailty law tilted by ``e^{-hv}``
-(``_frailty``, which picks numpy's gamma or geometric law, or one of the
-laws in ``frailty``) and its analytic tail coefficients
+(``_frailty``: numpy's gamma law, or one of the laws in ``frailty``, whose
+discrete laws are all geometric mixtures) and its analytic tail coefficients
 (``_tail_pair``).  Of ``psi`` a family writes ``_log_psi``, ``_psi_inv``,
 ``_log_neg_dpsi`` (``log(-psi')``, from which ``psi'`` is derived) and
 ``_d2psi``, plus ``_psi`` where it is more exact.  The base class holds the
@@ -47,7 +47,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frailty import (_geometric, _tilted_sibuya, sample_frailty, sample_sibuya, sample_stable,
+# log1mexp, _where and _LOG2 are frailty's and stay importable from here
+from .frailty import (_LOG2, _geometric, _log_series, _tilted_sibuya, _where,  # noqa: F401
+                      log1mexp, sample_frailty, sample_sibuya, sample_stable,
                       sample_tilted_sibuya, sample_tilted_stable)
 
 __all__ = [
@@ -65,40 +67,12 @@ __all__ = [
     "log1mexp",
 ]
 
-_LOG2 = 0.6931471805599453
 _TINY = np.finfo(float).tiny  # the smallest normal float64
 _LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 class SamplingError(RuntimeError):
     """Raised when a sampler cannot produce the requested output."""
-
-
-def _where(cond, f, g, x):
-    """``np.where(cond, f(x), g(x))`` bit for bit, as an array of x's shape (0-d included),
-    each branch evaluated only where it is taken: the more common one on all of x, the
-    other under its mask."""
-    x, cond = np.asarray(x, dtype=float), np.asarray(cond)
-    n = np.count_nonzero(cond)
-    common, other = (f, g) if 2 * n > x.size else (g, f)
-    out = np.asarray(common(x))
-    if 0 < n < x.size:
-        # by flat index, not boolean mask; put, because out need not be C-contiguous
-        idx = np.flatnonzero(~cond if common is f else cond)
-        out.put(idx, other(x.take(idx)))
-    return out
-
-
-def log1mexp(x):
-    """log(1 - exp(x)) for x <= 0, stable near both endpoints.
-
-    Uses ``log(-expm1(x))`` for x > -log 2 and ``log1p(-exp(x))`` otherwise,
-    each only on the values that take it.
-    """
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _where(x > -_LOG2, lambda y: np.log(-np.expm1(y)),
-                      lambda y: np.log1p(-np.exp(y)), x)
 
 
 def _check_range(x, lo, hi, message, error=ValueError):
@@ -400,9 +374,10 @@ class AMHGenerator(Generator):
         return np.log1p(-th) - t - 2.0 * np.log1p(-th * np.exp(-t))
 
     def _frailty(self, h, rng, n):
-        # Geometric(1 - theta) on {1, 2, ...} tilts to Geometric(1 - e^{-h} theta)
-        p = 1.0 - self.theta * np.exp(-h)
-        return rng.geometric(p, size=n).astype(float)
+        # Geometric(1 - theta) on {1, 2, ...} tilts to Geometric(1 - e^{-h} theta);
+        # theta = 0 gives log q = -inf, where every draw is 1
+        with np.errstate(divide="ignore"):
+            return _geometric(np.full(n, np.log(self.theta) - h), rng)
 
 
 class FrankGenerator(Generator):
@@ -444,11 +419,10 @@ class FrankGenerator(Generator):
         return z - log1mexp(z) - np.log(self.theta)
 
     def _frailty(self, h, rng, n):
-        # Log(p) tilts to Log(p e^{-h}), geometric given Q = 1 - (1 - p)^U; the
-        # log of 1 - p = e^{-h}(e^h - 1 + e^{-theta}) is exactly -theta at h = 0,
-        # where p itself rounds to 1 for theta above about 37.4
-        log_r = np.logaddexp(log1mexp(-h), -self.theta - h)
-        return _geometric(log1mexp(rng.random(n) * log_r), rng)
+        # Log(p) tilts to Log(p e^{-h}); the log of 1 - p e^{-h} = e^{-h}(e^h - 1 +
+        # e^{-theta}) is exactly -theta at h = 0, where p itself rounds to 1 for
+        # theta above about 37.4
+        return _log_series(np.logaddexp(log1mexp(-h), -self.theta - h), rng, n)
 
 
 class _PowerGenerator(Generator):

@@ -16,10 +16,11 @@ Which route a truncated copula takes is its ``route``, named by the model's
 
 Every route draws, proposes and maps its rows in blocks of ``_BLOCK_ROWS``
 (2^15) rows into one preallocated (n, d) output, so its working memory on
-top of the output is one block's temporaries whatever n is (the oracle's
-raw rows are one more (n, d) array); the frailty samplers are building
-blocks, in memory linear in their size.  n <= 2^15 rows are one block,
-drawn as one call; a seed reproduces its rows for a given n.
+top of the output is one block's temporaries whatever n is (the oracle
+route maps its raw rows in place); the frailty samplers are building
+blocks, in memory linear in their size.  ``write_csv`` formats rows in
+blocks of the same size.  n <= 2^15 rows are one block, drawn as one call;
+a seed reproduces its rows for a given n.
 """
 
 from __future__ import annotations
@@ -47,8 +48,7 @@ __all__ = [
     "write_meta",
 ]
 
-_CSV_BLOCK_ROWS = 4096
-# rows drawn, mapped or proposed (one oracle pass) at a time
+# rows drawn, mapped, proposed (one oracle pass) or formatted at a time
 _BLOCK_ROWS = 2**15
 
 
@@ -84,12 +84,14 @@ def _rows_wanted(n):
     return n
 
 
-def _blockwise(rows, n, d):
+def _blockwise(rows, n, d, out=None):
     """The (n, d) array of ``rows(start, stop)``, called on blocks of at most
-    ``_BLOCK_ROWS`` rows in order; n <= ``_BLOCK_ROWS`` is one call, returned as is."""
-    if n <= _BLOCK_ROWS:
-        return rows(0, n)
-    out = np.empty((n, d))
+    ``_BLOCK_ROWS`` rows in order and written into ``out``; without ``out``,
+    n <= ``_BLOCK_ROWS`` is one call, returned as is."""
+    if out is None:
+        if n <= _BLOCK_ROWS:
+            return rows(0, n)
+        out = np.empty((n, d))
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
         out[start:stop] = rows(start, stop)
@@ -178,16 +180,20 @@ def transform_margins(raw, model, t):
     X = np.asarray(raw, dtype=float)
     for col, tj in zip(X.T, tp.t, strict=True):
         _check_range(col, 0.0, tj + 1e-9, "rows must lie inside [0, t]")
-
-    def rows(start, stop):
-        return np.column_stack([model.margin_section(j, X[start:stop, j], tp.t) for j in range(model.d)])
-
-    out = _blockwise(rows, *X.shape)
-    out /= tp.c_of_t
-    np.clip(out, 0.0, 1.0, out=out)
     meta = dict(raw.meta) if isinstance(raw, SampleMatrix) else {}
     meta["margins"] = "truncated"
-    return SampleMatrix(out, meta)
+    return SampleMatrix(_margins(X, model, tp), meta)
+
+
+def _margins(X, model, tp, out=None):
+    """F_{t,j} of the rows X, one block at a time, into ``out`` (which may be X)."""
+
+    def rows(start, stop):
+        block = np.column_stack([model.margin_section(j, X[start:stop, j], tp.t) for j in range(model.d)])
+        block /= tp.c_of_t
+        return np.clip(block, 0.0, 1.0, out=block)
+
+    return _blockwise(rows, *X.shape, out=out)
 
 
 def sample_truncated(tc, n, rng):
@@ -205,8 +211,10 @@ def sample_truncated(tc, n, rng):
         raise TypeError("sample_truncated expects a TruncatedCopula")
     n = _rows_wanted(n)
     if tc.route == "oracle":
-        raw = oracle_sample(tc.source, tc.point, n, rng)
-        sm = transform_margins(raw, tc.source, tc.point)
+        # the oracle's rows lie inside [0, t]: map them in place, the one (n, d) array
+        sm = oracle_sample(tc.source, tc.point, n, rng)
+        _margins(sm.data, tc.source, tc.point, out=sm.data)
+        sm.meta["margins"] = "truncated"
     else:
         sm = SampleMatrix(sample_model(tc, n, rng))
     sm.meta["method"] = tc.route
@@ -283,15 +291,15 @@ def write_csv(sm, path):
 
     The bytes equal ``np.savetxt(path, sm.data, fmt="%.17g", delimiter=",",
     header=..., comments="")``.  Rows are formatted in blocks of
-    ``_CSV_BLOCK_ROWS``, one ``%`` per block, so memory stays flat in n.
+    ``_BLOCK_ROWS``, one ``%`` per block, so memory stays flat in n.
     """
     data = sm.data
     n, d = data.shape
     row = ",".join(["%.17g"] * d) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(f"u{j + 1}" for j in range(d)) + "\n")
-        for start in range(0, n, _CSV_BLOCK_ROWS):
-            block = data[start:start + _CSV_BLOCK_ROWS]
+        for start in range(0, n, _BLOCK_ROWS):
+            block = data[start:start + _BLOCK_ROWS]
             fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 

@@ -410,3 +410,21 @@ def test_taildep_report_dict_carries_converged():
     assert TailDepReport(0.1, 0.0, "numeric-limit", converged=False).to_dict()["converged"] is False
     rep = tail_dep_tilted(generator("clayton", 2.0), 1.0, method="numeric")
     assert rep.to_dict()["converged"] is rep.converged
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: tail_dep_tilted(generator("clayton", 2.0), 0.5, method="exact"),
+     "method must be 'analytic' or 'numeric'"),
+    (lambda: tail_dep_exchangeable_equal_t(IndependenceCopula(3), 0.5),
+     "needs a bivariate model"),
+    (lambda: tail_dep_exchangeable_equal_t(IndependenceCopula(2), 0.0), r"t must lie in \(0, 1\]"),
+    (lambda: tail_dep_exchangeable_equal_t(IndependenceCopula(2), 1.5), r"t must lie in \(0, 1\]"),
+    # t^2 underflows: C(t, t) = 0
+    (lambda: tail_dep_exchangeable_equal_t(IndependenceCopula(2), 1e-200), r"C\(t, t\) must be positive"),
+    (lambda: empirical_tail_dep(np.full((2000, 3), 0.5), 0.1), "expects bivariate data"),
+    (lambda: empirical_kendall_tau(np.array([[0.1, 0.2]])), "n >= 2"),
+], ids=["tail-method", "equal-t-d3", "equal-t-zero", "equal-t-above-one", "equal-t-c-zero",
+        "empirical-tail-d3", "kendall-one-row"])
+def test_argument_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

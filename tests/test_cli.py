@@ -127,6 +127,19 @@ class TestSample:
         assert rc == 3
 
 
+    def test_needs_t_and_out(self, tmp_path, model_file, capsys):
+        assert main(["sample", "--model", model_file(CLAYTON), "--n", "10"]) == 2
+        assert "this command requires --t" in capsys.readouterr().err
+        assert main(["sample", "--model", model_file(CLAYTON), "--t", "0.5,0.5", "--n", "10"]) == 2
+        assert "sample requires --out" in capsys.readouterr().err
+
+    def test_runtime_error_exit_3(self, tmp_path, model_file, capsys):
+        # an output directory that does not exist: the error is neither a config nor a sampling one
+        out = tmp_path / "missing" / "s.csv"
+        assert main(["sample", "--model", model_file(CLAYTON), "--t", "0.5,0.5", "--n", "10",
+                     "--out", str(out)]) == 3
+        assert "runtime error: FileNotFoundError" in capsys.readouterr().err
+
     def test_unknown_spec_field_is_config_error(self, tmp_path, model_file):
         spec = {**CLAYTON, "dim": 5}
         rc = main(["sample", "--model", model_file(spec), "--t", "0.5,0.5", "--n", "10",
@@ -286,6 +299,15 @@ class TestEvaluation:
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["values"][0] == pytest.approx(0.12)
+
+    def test_cdf_to_stdout(self, model_file, capsys):
+        spec = model_file({"schema": "trunca/1", "kind": "independence", "d": 2})
+        assert main(["cdf", "--model", spec, "--u", "0.3,0.4"]) == 0
+        assert json.loads(capsys.readouterr().out)["values"][0] == pytest.approx(0.12)
+
+    def test_truncate_eval_needs_t(self, model_file, capsys):
+        assert main(["truncate-eval", "--model", model_file(CLAYTON), "--u", "0.5,0.25"]) == 2
+        assert "this command requires --t" in capsys.readouterr().err
 
     def test_truncate_eval(self, tmp_path, model_file):
         out = tmp_path / "te.json"

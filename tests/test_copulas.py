@@ -1256,3 +1256,27 @@ def test_columnwise_reductions_are_numpy_reductions(x, u):
     for block in (x, u):
         assert np.array_equal(_bits(_columnwise(np.multiply, block)), _bits(block.prod(axis=1)))
         assert np.array_equal(_bits(_columnwise(np.minimum, block)), _bits(block.min(axis=1)))
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: IndependenceCopula(1), "dimension must be at least 2"),
+    (lambda: ComonotoneCopula(1), "dimension must be at least 2"),
+    (lambda: ArchimedeanCopula(generator("clayton", 2.0), 1), "dimension must be at least 2"),
+    (lambda: NestedArchimedeanCopula(generator("clayton", 2.0), []), "at least one sector"),
+    (lambda: NestedArchimedeanCopula(generator("clayton", 2.0), [(generator("clayton", 3.0), 0),
+                                                                 (generator("clayton", 3.0), 2)]),
+     "sector dimensions must be at least 1"),
+    (lambda: NestedArchimedeanCopula(generator("clayton", 2.0), [(generator("clayton", 3.0), 1)]),
+     "dimension must be at least 2"),
+    (lambda: ev_scaling_check(IndependenceCopula(2), [0.5, 0.5], 0.0, np.full((2, 2), 0.5)),
+     "alpha must be positive"),
+], ids=["independence-d1", "comonotone-d1", "archimedean-d1", "nest-no-sector",
+        "nest-sector-d0", "nest-total-d1", "ev-alpha-zero"])
+def test_argument_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_archimedean_needs_a_generator():
+    with pytest.raises(TypeError, match="generator must be a Generator instance"):
+        ArchimedeanCopula(lambda t: np.exp(-t), 2)

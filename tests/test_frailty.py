@@ -171,7 +171,8 @@ class TestTiltedSibuya:
         se = np.sqrt(p1 * (1 - p1) / n)
         assert abs((v == 1).mean() - p1) <= 4 * se
 
-    @pytest.mark.parametrize("alpha,p", [(0.5, 0.51), (0.9, 0.2), (0.3, 0.8)])
+    # (0.02, 0.99) takes the log envelope, over both branches of its log1mexp
+    @pytest.mark.parametrize("alpha,p", [(0.5, 0.51), (0.9, 0.2), (0.3, 0.8), (0.02, 0.99)])
     def test_pmf_chi2(self, alpha, p):
         v = np.asarray(sample_tilted_sibuya(alpha, p, rng_stream(9), size=200_000))
         k = np.arange(1, 21)
@@ -493,3 +494,16 @@ def test_tilted_sibuya_log_acceptance_identity():
     lhs = np.exp(gammaln(v - alpha) - gammaln(1.0 - alpha) - gammaln(v))
     pmf = sibuya_pmf(alpha, 7)
     assert np.allclose(lhs, v * pmf / alpha, rtol=1e-12)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: sample_stable(0.0, rng_stream(0), size=2), r"alpha must lie in \(0, 1\]"),
+    (lambda: sample_stable(1.5, rng_stream(0), size=2), r"alpha must lie in \(0, 1\]"),
+    (lambda: sample_tilted_stable(0.0, 1.0, rng_stream(0), size=2), r"alpha must lie in \(0, 1\]"),
+    (lambda: sample_tilted_stable(1.5, 1.0, rng_stream(0), size=2), r"alpha must lie in \(0, 1\]"),
+    (lambda: sample_frailty(generator("clayton", 2.0), -0.5, rng_stream(0), size=2),
+     "tilt h must be nonnegative"),
+], ids=["stable-0", "stable-1.5", "tilted-stable-0", "tilted-stable-1.5", "frailty-negative-tilt"])
+def test_argument_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -453,3 +453,15 @@ class TestJSON:
             generator_from_dict({"family": "clayton", "theta": 2.0, "bogus": 1})
         with pytest.raises(ValueError):
             generator_to_dict(generator("clayton", 2.0).tilt(1.0))
+
+
+@pytest.mark.parametrize("call,match", [
+    # psi(inf) = 0: no tilt there
+    (lambda: generator("clayton", 2.0).tilt(np.inf), r"psi\(h\) must be positive for tilting"),
+    (lambda: generator("clayton", 2.0).tilt(0.5).outer_power(0.5),
+     "outer power applies to untilted generators"),
+    (lambda: generator("frank"), "family 'frank' requires theta"),
+], ids=["tilt-inf", "outer-power-of-tilt", "no-theta"])
+def test_argument_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -9,6 +9,7 @@ from trunca import (
     NestedArchimedeanCopula,
     SurvivalCopula,
     generator,
+    generator_from_dict,
     generator_to_dict,
     load_model,
     model_from_dict,
@@ -181,3 +182,12 @@ def test_missing_generator_is_config_error(tmp_path, capsys):
     assert main(["cdf", "--model", str(path), "--u", "0.5,0.5"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'generator'" in err
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: generator_from_dict({"theta": 2.0}), "generator spec requires a 'family' field"),
+    (lambda: model_from_dict({"schema": "trunca/1", "d": 2}), "model spec requires a 'kind' field"),
+], ids=["no-family", "no-kind"])
+def test_argument_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

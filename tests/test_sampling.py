@@ -33,7 +33,7 @@ from trunca import (
     write_meta,
 )
 from trunca.copulas import _inside
-from trunca.sampling import _BLOCK_ROWS, _CSV_BLOCK_ROWS
+from trunca.sampling import _BLOCK_ROWS
 
 
 def tau_se(n):
@@ -158,7 +158,7 @@ class TestSampleNested:
             (NestedArchimedeanCopula(
                 generator("clayton", 2.0),
                 [(generator("clayton", 2.0), 1), (generator("clayton", 6.0), 2)],
-            ), "ed47275b52b05185"),
+            ), "133743b5924e98f3"),
             (NestedArchimedeanCopula(
                 generator("gumbel", 2.0),
                 [(generator("gumbel", 2.0), 1), (generator("gumbel", 4.0), 2)],
@@ -440,8 +440,30 @@ class TestBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the output, the oracle's raw rows, and one block's temporaries
+        # the output and one block's temporaries, with room for one more output
         assert peak <= 2 * u.nbytes + 8 * 2**20
+
+    @pytest.mark.parametrize("model,t", [
+        (survival(ArchimedeanCopula(generator("gumbel", 2.0), 2)), [0.5, 0.5]),
+        (MarshallOlkinCopula(0.3, 0.6), [0.3, 0.3]),
+    ], ids=["survival-gumbel", "marshall-olkin"])
+    def test_oracle_route_holds_one_array(self, model, t):
+        # the oracle's raw rows are mapped in place, block by block: no second (n, d) array
+        tc = truncate_general(model, t)
+        assert tc.route == "oracle"
+        sample_truncated(tc, 10, rng_stream(4))
+        tracemalloc.start()
+        try:
+            u = sample_truncated(tc, 200_000, rng_stream(4)).data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= u.nbytes + 4 * 2**20
+        # the same rows as the oracle and transform_margins, which leaves its argument as it was
+        raw = oracle_sample(model, t, 200_000, rng_stream(4))
+        before = raw.data.copy()
+        assert np.array_equal(u, transform_margins(raw, model, t).data)
+        assert np.array_equal(raw.data, before)
 
     @pytest.mark.parametrize("model,t", [
         (ArchimedeanCopula(generator("clayton", 2.0), 2), [0.5, 0.5]),
@@ -500,6 +522,10 @@ class TestEmpiricalCopulaDistance:
         x = rng_stream(20).random((5000, 2))
         assert empirical_copula_distance(x, x) == 0.0
 
+    def test_shapes_must_match(self):
+        with pytest.raises(ValueError, match="arrays of equal dimension"):
+            empirical_copula_distance(np.zeros((10, 2)), np.zeros((10, 3)))
+
     def test_detects_difference(self):
         rng = rng_stream(21)
         a = rng.random((20_000, 2))
@@ -524,7 +550,7 @@ class TestCsvOutput:
         assert meta["seed"] == 7
 
     @pytest.mark.parametrize("d", [1, 2, 4])
-    @pytest.mark.parametrize("n", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("n", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
     def test_bytes_equal_savetxt(self, tmp_path, n, d):
         data = rng_stream(24).random((n, d))
         edges = [0.0, 1.0, 5e-324, 1.0 - 2.0**-53]
