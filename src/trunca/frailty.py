@@ -342,14 +342,6 @@ def _u_hat(alpha, lam_lo, lam_hi):
     return edges, cum, width, log_h
 
 
-def _stage1(hat, r):
-    """Stage 1 on one hat, given 1 - uniform draws r: the angles U and the hat's log heights there."""
-    edges, cum, width, log_h = hat
-    # the hat's inverse cdf is piecewise linear; r is in (0, 1], so u is in (0, pi]
-    u = np.interp(r * cum[-1], cum, edges)
-    return u, log_h[np.minimum(u / width, log_h.size - 1).astype(np.intp)]
-
-
 def _double_rejection(alpha, lam, rng):
     """Tilted stable draws for tilts ``lam = h^alpha >= 1/2`` by double rejection.
 
@@ -364,29 +356,22 @@ def _double_rejection(alpha, lam, rng):
     b = (1.0 - alpha) / alpha
     out = np.empty(lam.size)
     outer = 0
-    band = np.floor(2.0 * np.log2(lam / lam.min()))
-    if band.max() == 0.0:
-        rows, hats = np.arange(lam.size), [_u_hat(alpha, lam.min(), lam.max())]
-    else:
-        # rows grouped by band (a radix sort of the small band numbers), so that a
-        # band's pending rows are one slice, starting where its key is in seg
-        band = band.astype(np.int16)
-        rows = np.argsort(band, kind="stable")
-        seg = band.take(rows)
-        keys = np.flatnonzero(np.bincount(seg))
-        hats = [_u_hat(alpha, lb.min(), lb.max())
-                for lb in np.split(lam.take(rows), np.searchsorted(seg, keys[1:]))]
+    # rows grouped by band (a radix sort of the small band numbers), so that a
+    # band's pending rows are one slice, from one of its bounds to the next
+    band = np.floor(2.0 * np.log2(lam / lam.min())).astype(np.int16)
+    rows = np.argsort(band, kind="stable")
+    count = np.bincount(band)
+    bounds = np.cumsum(np.append(0, count[count > 0]))
+    hats = [_u_hat(alpha, lb.min(), lb.max()) for lb in np.split(lam.take(rows), bounds[1:-1])]
     while rows.size:
         k = rows.size
         lk = lam.take(rows)
         r = 1.0 - rng.random(k)
-        if len(hats) == 1:
-            u, log_h = _stage1(hats[0], r)
-        else:
-            u, log_h = np.empty(k), np.empty(k)
-            bounds = np.append(np.searchsorted(seg, keys), k)
-            for hat, lo, hi in zip(hats, bounds[:-1], bounds[1:]):
-                u[lo:hi], log_h[lo:hi] = _stage1(hat, r[lo:hi])
+        u, log_h = np.empty(k), np.empty(k)
+        for (edges, cum, width, hat_h), lo, hi in zip(hats, bounds[:-1], bounds[1:]):
+            # the hat's inverse cdf is piecewise linear; r is in (0, 1], so u is in (0, pi]
+            u[lo:hi] = np.interp(r[lo:hi] * cum[-1], cum, edges)
+            log_h[lo:hi] = hat_h[np.minimum(u[lo:hi] / width, hat_h.size - 1).astype(np.intp)]
         x2 = _zolotarev_x2(alpha, u)
         m, delta, z, mass = _envelope(alpha, lk, x2)
         with np.errstate(invalid="ignore"):
@@ -415,8 +400,8 @@ def _double_rejection(alpha, lam, rng):
         keep[hit] = False
         rest = np.flatnonzero(keep)
         rows = rows.take(rest)
-        if len(hats) > 1:
-            seg = seg.take(rest)
+        # a bound moves down by the rows accepted before it
+        bounds = np.searchsorted(rest, bounds)
     return out, outer
 
 

@@ -214,6 +214,7 @@ def sample_truncated(tc, n, rng):
         # the oracle's rows lie inside [0, t]: map them in place, the one (n, d) array
         sm = oracle_sample(tc.source, tc.point, n, rng)
         _margins(sm.data, tc.source, tc.point, out=sm.data)
+        _check_range(sm.data, 0.0, 1.0, "sample entries must lie in [0, 1]")
         sm.meta["margins"] = "truncated"
     else:
         sm = SampleMatrix(sample_model(tc, n, rng))

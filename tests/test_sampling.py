@@ -465,6 +465,14 @@ class TestBlocks:
         assert np.array_equal(u, transform_margins(raw, model, t).data)
         assert np.array_equal(raw.data, before)
 
+    def test_oracle_route_checks_mapped_rows(self, monkeypatch):
+        # a NaN from the margin map (the clip keeps it) fails the range check
+        model = MarshallOlkinCopula(0.3, 0.6)
+        tc = truncate_general(model, [0.3, 0.3])
+        monkeypatch.setattr(model, "margin_section", lambda j, x, t: np.full(x.shape, np.nan))
+        with pytest.raises(ValueError, match=r"sample entries must lie in \[0, 1\]"):
+            sample_truncated(tc, 100, rng_stream(4))
+
     @pytest.mark.parametrize("model,t", [
         (ArchimedeanCopula(generator("clayton", 2.0), 2), [0.5, 0.5]),
         (NestedArchimedeanCopula(generator("independence"),
